@@ -235,7 +235,14 @@ def enhance_buffer(
     config: PipelineConfig,
     clean: Optional[AudioBuffer] = None,
 ) -> EnhanceResult:
-    """Run preprocessor + optional oracle mask on in-memory audio."""
+    """Run preprocessor + optional oracle mask on in-memory audio.
+
+    Raises ``ValueError`` on a NaN or infinite sample in ``noisy`` or
+    ``clean``, naming its index, rather than returning non-finite audio.
+    """
+    noisy.require_finite("noisy input")
+    if clean is not None:
+        clean.require_finite("clean reference")
     if noisy.sample_rate != config.sample_rate:
         raise ValueError(
             f"input sample rate {noisy.sample_rate} does not match configured "

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "AudioBuffer",
@@ -60,6 +61,16 @@ class AudioBuffer:
 
     def power(self) -> float:
         return float(np.mean(np.abs(self.samples) ** 2)) if len(self) else 0.0
+
+    def require_finite(self, what: str = "signal") -> None:
+        """Raise ``ValueError`` naming the first NaN or infinite sample."""
+        finite = np.isfinite(self.samples)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            raise ValueError(
+                f"{what} has a non-finite sample ({self.samples[first]}) "
+                f"at index {first}"
+            )
 
 
 def periodic_hann(n: int) -> np.ndarray:
@@ -211,14 +222,16 @@ class ComplexSpectrogram:
 
 
 def _frame_signal(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Zero-pad the signal and slice it into overlapping frames (L x frame_len)."""
+    """Zero-pad the signal and view it as overlapping frames (L x frame_len).
+
+    The result is a read-only strided view of the padded copy, not a gather.
+    """
     n = x.shape[0]
     num_frames = cfg.num_frames(n)
     total = (num_frames - 1) * cfg.hop + cfg.frame_len
     padded = np.zeros(total, dtype=x.dtype)
     padded[cfg.pad : cfg.pad + n] = x
-    idx = cfg.hop * np.arange(num_frames)[:, None] + np.arange(cfg.frame_len)[None, :]
-    return padded[idx]
+    return sliding_window_view(padded, cfg.frame_len)[:: cfg.hop]
 
 
 def stft(signal: AudioBuffer, cfg: StftConfig) -> ComplexSpectrogram:

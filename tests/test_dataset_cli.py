@@ -3,6 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from cyclospeech import (
     PipelineConfig,
@@ -166,3 +167,18 @@ def test_cli_errors_return_nonzero(tmp_path, capsys):
     cli_main(["synth", "--clean-dir", str(clean_dir), "--out-dir", str(ds)])
     rc = cli_main(["eval", "--dataset-dir", str(ds), "--pipeline", "bogus"])
     assert rc == 2
+
+
+def test_eval_dataset_skips_non_finite_mixture(tmp_path):
+    clean_dir = make_clean_dir(tmp_path)
+    ds = tmp_path / "ds"
+    synth_dataset(clean_dir, ds, SynthSettings(seed=4))
+    victim = sorted((ds / "mix").glob("*.wav"))[0]
+    samples = read_wav(victim).samples.astype(np.float32)
+    samples[1000] = np.nan
+    wavfile.write(victim, FS, samples)
+    records, skips = eval_dataset(ds, [PipelineConfig(preproc="id")], out_dir=tmp_path / "res")
+    assert len(records) == 1
+    assert len(skips) == 1 and "non-finite sample" in skips[0] and "index 1000" in skips[0]
+    log_text = (tmp_path / "res" / "skipped.log").read_text(encoding="utf-8")
+    assert "index 1000" in log_text

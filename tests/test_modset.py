@@ -15,6 +15,9 @@ from cyclospeech import (
     synth_harmonic_cs_noise,
     welch_periodogram,
 )
+from cyclospeech.modset import _bin_energy, _refine_shift, _ShiftSearch, _top_support_bins
+from cyclospeech.modulation import modulate
+from cyclospeech.stft import stft
 
 FS = 16000
 WELCH_RES = FS / 4096
@@ -200,3 +203,70 @@ def test_estimate_deterministic(cfg16k, cs_noise_10s):
     a = estimate_modulation_set(cs_noise_10s, cfg16k)
     b = estimate_modulation_set(cs_noise_10s, cfg16k)
     assert a.shifts == b.shifts
+
+
+def _full_grid_offset(products, cfg, search_hz):
+    """Reference: the full zero-padded FFT along frames, argmax in window."""
+    frame_rate = cfg.sample_rate / cfg.hop
+    n_frames = products.shape[1]
+    nfft = 1
+    while nfft < max(2 * n_frames, frame_rate / 0.01):
+        nfft *= 2
+    spectrum = np.abs(np.fft.fft(products, n=nfft, axis=1)).sum(axis=0)
+    deltas = np.fft.fftfreq(nfft, d=1.0 / frame_rate)
+    in_window = np.abs(deltas) <= search_hz
+    return float(deltas[np.argmax(np.where(in_window, spectrum, -np.inf))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_frames=st.integers(1, 3000),
+    rows=st.integers(1, 60),
+    search_hz=st.floats(0.005, 80.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chirp_z_search_matches_full_grid(cfg16k, n_frames, rows, search_hz, seed):
+    rng = np.random.default_rng(seed)
+    products = rng.standard_normal((rows, n_frames)) + 1j * rng.standard_normal(
+        (rows, n_frames)
+    )
+    search = _ShiftSearch(n_frames, cfg16k, search_hz)
+    assert search.best_offset(products) == _full_grid_offset(products, cfg16k, search_hz)
+    # an all-zero spectrum ties everywhere; the zero offset wins, as on the full grid
+    assert search.best_offset(np.zeros_like(products)) == 0.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    f0=st.floats(60.0, 150.0),
+    miss=st.floats(-1.0, 1.0),
+    duration=st.floats(2.0, 4.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_refined_shift_matches_full_grid(cfg16k, f0, miss, duration, seed):
+    noise = synth_harmonic_cs_noise(duration, FS, HarmonicNoiseParams(f0=f0, seed=seed))
+    alpha = f0 + miss * WELCH_RES
+    base = stft(noise, cfg16k).data
+    e_base = _bin_energy(base)
+    search = _ShiftSearch(base.shape[1], cfg16k, WELCH_RES)
+    refined = _refine_shift(base, e_base, noise, alpha, cfg16k, search)
+
+    shifted = stft(modulate(noise, alpha), cfg16k).data
+    top, _ = _top_support_bins(e_base, _bin_energy(shifted))
+    products = base[top] * np.conj(shifted[top])
+    assert refined == alpha + _full_grid_offset(products, cfg16k, WELCH_RES)
+
+
+def test_refine_shift_of_silence_keeps_coarse_shift(cfg16k):
+    silence = AudioBuffer(np.zeros(3 * FS), FS)
+    base = stft(silence, cfg16k).data
+    search = _ShiftSearch(base.shape[1], cfg16k, WELCH_RES)
+    assert _refine_shift(base, _bin_energy(base), silence, 101.3, cfg16k, search) == 101.3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_estimate_rejects_non_finite_sample(cfg16k, cs_noise_10s, bad):
+    samples = cs_noise_10s.samples.copy()
+    samples[1000] = bad
+    with pytest.raises(ValueError, match="non-finite sample .* at index 1000"):
+        estimate_modulation_set_detailed(AudioBuffer(samples, FS), cfg16k)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclospeech import (
     AudioBuffer,
@@ -117,3 +119,54 @@ def test_on_grid_shift_rolls_magnitudes(cfg16k):
     mag0 = np.abs(aug.channels[0])
     mag1 = np.abs(aug.channels[1])
     assert np.abs(mag1 - np.roll(mag0, g, axis=0)).max() <= 1e-9 * mag0.max()
+
+
+def _direct_modulate(x, alpha, fs):
+    """Reference: the full-length complex exponential."""
+    n = np.arange(len(x))
+    return x * np.exp(2j * np.pi * alpha * n / fs)
+
+
+_lengths = st.sampled_from([1, 2, 1023, 1024, 1025, 2047, 2049, 3 * 1024 + 1]) | st.integers(
+    1, 40000
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    length=_lengths,
+    fs=st.sampled_from([8000, 16000, 44100]),
+    frac=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+    | st.sampled_from([-1.0, 1.0]).map(lambda s: s * np.nextafter(1.0, 0.0)),
+    is_complex=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_rotator_within_bound_of_direct_form(length, fs, frac, is_complex, seed):
+    alpha = frac * fs / 2  # negative shifts and shifts next to Nyquist included
+    if abs(alpha) >= fs / 2:
+        alpha = np.nextafter(fs / 2, 0.0) * np.sign(alpha)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(length)
+    if is_complex:
+        x = x + 1j * rng.standard_normal(length)
+    y = modulate(AudioBuffer(x, fs), alpha).samples
+    assert y.shape == x.shape and y.dtype == np.complex128
+    n = np.arange(length)
+    bound = 8 * np.finfo(float).eps * (1 + 2 * np.pi * abs(alpha) * n / fs) * np.abs(x)
+    assert np.all(np.abs(y - _direct_modulate(x, alpha, fs)) <= bound)
+
+
+@settings(max_examples=30, deadline=None)
+@given(length=_lengths, is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_zero_shift_bit_exact_at_any_length(length, is_complex, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(length)
+    if is_complex:
+        x = x + 1j * rng.standard_normal(length)
+    y = modulate(AudioBuffer(x, FS), 0.0).samples
+    assert np.array_equal(y, _direct_modulate(x, 0.0, FS))
+    assert np.array_equal(y, x.astype(complex))
+
+
+def test_empty_signal_modulates_to_empty():
+    assert len(modulate(AudioBuffer(np.zeros(0), FS), 100.0)) == 0

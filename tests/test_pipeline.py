@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from cyclospeech import (
     AudioBuffer,
@@ -149,3 +150,30 @@ def test_run_pipeline_tags_stage_errors(tmp_path):
 def test_trim_edges_requires_margin(cfg16k):
     with pytest.raises(ValueError, match="short"):
         trim_edges(AudioBuffer(np.ones(600), FS), cfg16k)
+
+
+def _with_bad_sample(buffer, index, value):
+    samples = buffer.samples.copy()
+    samples[index] = value
+    return AudioBuffer(samples, buffer.sample_rate)
+
+
+@pytest.mark.parametrize("preproc", ["id", "wiener", "cmpdr"])
+def test_enhance_rejects_non_finite_input(preproc):
+    speech = synth_speech_like(4.0, FS, seed=41)
+    noise = synth_harmonic_cs_noise(4.0, FS, HarmonicNoiseParams(f0=110.0, seed=42))
+    mix, _ = mix_at_snr(speech, noise, MixSpec(snr_db=-10.0))
+    config = PipelineConfig(preproc=preproc)
+    with pytest.raises(ValueError, match=r"noisy input .* at index 1000"):
+        enhance_buffer(_with_bad_sample(mix, 1000, np.nan), config)
+    with pytest.raises(ValueError, match=r"clean reference .* at index 7"):
+        enhance_buffer(mix, config, clean=_with_bad_sample(speech, 7, np.inf))
+
+
+def test_run_pipeline_tags_non_finite_input_as_enhance(tmp_path):
+    samples = synth_speech_like(3.0, FS, seed=43).samples.astype(np.float32)
+    samples[1000] = np.nan
+    path = tmp_path / "nan.wav"
+    wavfile.write(path, FS, samples)
+    with pytest.raises(PipelineError, match=r"\[enhance\] noisy input .* index 1000"):
+        run_pipeline(path, PipelineConfig(preproc="id"))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclospeech import AudioBuffer, ComplexSpectrogram, StftConfig, istft, stft
-from cyclospeech.stft import default_stft_config, periodic_hann
+from cyclospeech.stft import _frame_signal, default_stft_config, periodic_hann
 
 FS = 16000
 
@@ -150,3 +152,45 @@ def test_complex_input_supported(cfg16k):
     z = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
     out = istft(stft(AudioBuffer(z, FS), cfg16k)).samples
     assert np.linalg.norm(out - z) / np.linalg.norm(z) <= 1e-10
+
+
+def _gather_frames(x, cfg):
+    """Reference framing: zero-pad, then a fancy-index gather."""
+    n = x.shape[0]
+    num_frames = cfg.num_frames(n)
+    total = (num_frames - 1) * cfg.hop + cfg.frame_len
+    padded = np.zeros(total, dtype=x.dtype)
+    padded[cfg.pad : cfg.pad + n] = x
+    idx = cfg.hop * np.arange(num_frames)[:, None] + np.arange(cfg.frame_len)[None, :]
+    return padded[idx]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hop=st.integers(1, 64),
+    overlap=st.integers(1, 8),
+    length=st.integers(1, 3000),
+    is_complex=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_strided_framing_matches_gather(hop, overlap, length, is_complex, seed):
+    frame_len = hop * overlap
+    cfg = StftConfig(frame_len, hop, frame_len, np.ones(frame_len), FS)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(length)
+    if is_complex:
+        x = x + 1j * rng.standard_normal(length)
+    frames = _frame_signal(x, cfg)
+    expected = _gather_frames(x, cfg)
+    assert frames.dtype == expected.dtype
+    assert np.array_equal(frames, expected)
+
+
+def test_require_finite_names_first_bad_sample():
+    x = np.zeros(100)
+    AudioBuffer(x, FS).require_finite()
+    x[[40, 70]] = [np.inf, np.nan]
+    with pytest.raises(ValueError, match=r"input has a non-finite sample \(inf\) at index 40"):
+        AudioBuffer(x, FS).require_finite("input")
+    with pytest.raises(ValueError, match="index 3"):
+        AudioBuffer(np.array([0, 1, 2, np.nan * 1j]), FS).require_finite()

@@ -18,7 +18,7 @@ from .baselines import (
     wiener_gain,
 )
 from .beamformer import process as cmpdr_process
-from .beamformer import read_diagnostics, solve_weights, update_covariance
+from .beamformer import read_diagnostics, solve_weights
 from .dataset import SynthSettings, eval_dataset, synth_dataset
 from .metrics import MetricRecord, aggregate, curve_points, si_sdr, stoi
 from .modset import (

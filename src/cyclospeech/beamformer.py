@@ -6,13 +6,21 @@ Per frequency bin, a C x C spectral covariance of the augmented
     S <- beta_x * S + (1 - beta_x) * x x^H,
 
 and the minimum-power weights with unit gain on the unshifted channel are
-solved in closed form each frame,
 
     w = S^-1 e1 / (e1^H S^-1 e1),      y = w^H x.
 
-The inverse is realized as a Hermitian linear solve of (S + lambda I) a = e1
-with trace-relative diagonal loading; weights are never formed from an
-explicit inverse.
+The inverse P = S^-1 is tracked alongside S with the exponentially weighted
+RLS form of the matrix-inversion lemma (Haykin, *Adaptive Filter Theory*),
+
+    u = P x,   d = 1 + g x^H u,   P <- (P - (g / d) u u^H) / beta_x,
+
+with g = (1 - beta_x) / beta_x, so each frame costs O(C^2) per bin instead
+of a C x C solve. Every ``_REANCHOR_FRAMES`` frames, and at once in any bin
+whose d or e1^H P e1 is not positive and finite, P is re-anchored by a
+linear solve of (S + lambda I) P = I with trace-relative diagonal loading
+lambda; a bin whose solve fails falls back to P = I, i.e. w = e1. Between
+anchors the loading decays by beta_x per frame, because the recursion
+carries it along with S.
 
 Diagnostic sidecar layout (binary, little-endian):
     bytes 0..7    magic b"CYCBFDG1"
@@ -29,7 +37,6 @@ from .modulation import AugmentedSpectrogram
 from .stft import ComplexSpectrogram
 
 __all__ = [
-    "update_covariance",
     "solve_weights",
     "process",
     "read_diagnostics",
@@ -41,55 +48,53 @@ DIAGNOSTICS_MAGIC = b"CYCBFDG1"
 # yields the pass-through weights e1 instead of a singular solve.
 _ABS_LOAD_FLOOR = 1e-30
 
+# Frames between loaded re-solves of the tracked inverse, which bound the
+# rounding drift of the rank-1 updates and restore the loading.
+_REANCHOR_FRAMES = 32
 
-def update_covariance(
-    s_prev: np.ndarray, x_vec: np.ndarray, beta_x: float = 0.95
-) -> np.ndarray:
-    """One recursive-averaging step; Hermitian by construction."""
-    if not 0.0 < beta_x < 1.0:
-        raise ValueError("beta_x must lie strictly between 0 and 1")
-    s_prev = np.asarray(s_prev, dtype=np.complex128)
-    x_vec = np.asarray(x_vec, dtype=np.complex128)
-    if x_vec.ndim != 1:
-        raise ValueError("x_vec must be a vector")
-    c = x_vec.shape[0]
-    if s_prev.shape != (c, c):
-        raise ValueError(
-            f"covariance shape {s_prev.shape} does not match vector length {c}"
-        )
-    return beta_x * s_prev + (1.0 - beta_x) * np.outer(x_vec, np.conj(x_vec))
+# Frames per block: each block of input frames is transposed into one
+# bins-innermost (B, C, K) buffer, and its outputs y = w^H x are formed at once.
+_BLOCK_FRAMES = 64
 
 
-def _solve_weights_batch(
-    cov: np.ndarray, diag_load: float
+def _loaded_solve(
+    cov: np.ndarray, diag_load: float, rhs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distortionless weights for a (K, C, C) covariance batch.
+    """Solve (S + lambda I) X = rhs for a (K, C, C) covariance batch.
 
-    Returns (weights (K, C), fallback mask (K,)); fallback bins get w = e1.
+    ``rhs`` is (C, M) with e1 as its first column; lambda is ``diag_load``
+    times the mean diagonal, floored at _ABS_LOAD_FLOOR. Returns
+    (X (K, C, M), fallback mask (K,)); fallback bins get X = rhs.
     """
     k, c, _ = cov.shape
     trace = np.einsum("kcc->k", cov).real
     lam = np.maximum(diag_load * trace / c, _ABS_LOAD_FLOOR)
     loaded = cov + lam[:, None, None] * np.eye(c)
-    e1 = np.zeros((k, c), dtype=np.complex128)
-    e1[:, 0] = 1.0
     fallback = np.zeros(k, dtype=bool)
     try:
-        a = np.linalg.solve(loaded, e1[:, :, None])[:, :, 0]
+        a = np.linalg.solve(loaded, np.broadcast_to(rhs, (k,) + rhs.shape))
     except np.linalg.LinAlgError:
-        a = np.empty_like(e1)
+        a = np.empty((k,) + rhs.shape, dtype=np.complex128)
         for i in range(k):
             try:
-                a[i] = np.linalg.solve(loaded[i], e1[i])
+                a[i] = np.linalg.solve(loaded[i], rhs)
             except np.linalg.LinAlgError:
-                a[i] = e1[i]
+                a[i] = rhs
                 fallback[i] = True
-    bad = ~np.isfinite(a).all(axis=1) | (np.abs(a[:, 0]) < _ABS_LOAD_FLOOR)
+    bad = ~np.isfinite(a).all(axis=(1, 2)) | (np.abs(a[:, 0, 0]) < _ABS_LOAD_FLOOR)
     if np.any(bad):
         fallback |= bad
-        a[fallback] = e1[fallback]
-    w = a / a[:, :1]
-    return w, fallback
+        a[fallback] = rhs
+    return a, fallback
+
+
+def _loaded_inverse(cov: np.ndarray, diag_load: float) -> np.ndarray:
+    """Loaded inverses of a bins-innermost (C, C, K) stack; fallback bins get I."""
+    c = cov.shape[0]
+    inv, _ = _loaded_solve(
+        cov.transpose(2, 0, 1), diag_load, np.eye(c, dtype=np.complex128)
+    )
+    return inv.transpose(1, 2, 0)
 
 
 def solve_weights(
@@ -104,8 +109,9 @@ def solve_weights(
     cov = np.asarray(cov, dtype=np.complex128)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError("covariance must be a square matrix")
-    w, fb = _solve_weights_batch(cov[None, :, :], diag_load)
-    return w[0], bool(fb[0])
+    e1 = np.eye(cov.shape[0], 1, dtype=np.complex128)
+    a, fb = _loaded_solve(cov[None, :, :], diag_load, e1)
+    return a[0, :, 0] / a[0, 0, 0], bool(fb[0])
 
 
 def process(
@@ -122,8 +128,8 @@ def process(
     computed from ``aug`` (the filter is linear given its weights), which is
     how a known clean signal is passed through the identical preprocessor.
     ``weight_stride`` > 1 reuses weights for that many frames (the covariance
-    still updates every frame). Returns the beamformed spectrogram, or a
-    (main, companion) pair when a companion is given.
+    and its inverse still update every frame). Returns the beamformed
+    spectrogram, or a (main, companion) pair when a companion is given.
     """
     if not 0.0 < beta_x < 1.0:
         raise ValueError("beta_x must lie strictly between 0 and 1")
@@ -151,33 +157,65 @@ def process(
         )
         return main, comp
 
-    # warm-start at a small multiple of the early per-bin input power
+    # S and P are (C, C, K), bins innermost, so each per-frame step is a few
+    # whole-array operations over contiguous runs of K values. S is
+    # warm-started at a small multiple of the early per-bin input power.
     warm = min(10, l)
-    delta = 1e-3 * np.mean(np.abs(chans[0, :, :warm]) ** 2, axis=1)
-    cov = delta[:, None, None] * np.eye(c)[None, :, :].astype(np.complex128)
+    cov = np.zeros((c, c, k), dtype=np.complex128)
+    cov[np.arange(c), np.arange(c)] = 1e-3 * np.mean(
+        np.abs(chans[0, :, :warm]) ** 2, axis=1
+    )
+    inv = np.empty_like(cov)
+    outer = np.empty_like(cov)
+    g = (1.0 - beta_x) / beta_x
 
     out = np.empty((k, l), dtype=np.complex128)
     out_comp = np.empty((k, l), dtype=np.complex128) if companion is not None else None
     weights_log = (
         np.empty((k, l, c), dtype=np.complex64) if diagnostics_path is not None else None
     )
-    w = None
-    for frame in range(l):
-        x = chans[:, :, frame].T  # (K, C)
-        cov = beta_x * cov + (1.0 - beta_x) * (
-            x[:, :, None] * np.conj(x[:, None, :])
-        )
-        if frame % weight_stride == 0 or w is None:
-            w, _ = _solve_weights_batch(cov, diag_load)
-        out[:, frame] = np.sum(np.conj(w) * x, axis=1)
-        if out_comp is not None:
-            xc = companion.channels[:, :, frame].T
-            out_comp[:, frame] = np.sum(np.conj(w) * xc, axis=1)
+    for start in range(0, l, _BLOCK_FRAMES):
+        stop = min(start + _BLOCK_FRAMES, l)
+        x_blk = np.ascontiguousarray(chans[:, :, start:stop].transpose(2, 0, 1))
+        w_blk = np.empty_like(x_blk)
+        for i, frame in enumerate(range(start, stop)):
+            x = x_blk[i]  # (C, K)
+            xh = np.conj(x)
+            np.multiply(((1.0 - beta_x) * x)[:, None, :], xh[None, :, :], out=outer)
+            cov *= beta_x
+            cov += outer
+            if frame % _REANCHOR_FRAMES == 0:
+                inv[...] = _loaded_inverse(cov, diag_load)
+            else:
+                np.multiply(inv, x[None, :, :], out=outer)
+                u = outer.sum(axis=1)
+                d = 1.0 + g * np.sum(xh * u, axis=0).real
+                np.multiply(
+                    u[:, None, :], ((g / (beta_x * d)) * np.conj(u))[None, :, :], out=outer
+                )
+                inv *= 1.0 / beta_x
+                inv -= outer
+                p00 = inv[0, 0].real
+                bad = ~(np.isfinite(d) & (d > 0.0) & np.isfinite(p00) & (p00 > 0.0))
+                if np.any(bad):
+                    inv[:, :, bad] = _loaded_inverse(cov[:, :, bad], diag_load)
+            if frame % weight_stride == 0:
+                w = inv[:, 0] / inv[0, 0]
+                w[0] = 1.0  # the distortionless constraint, without rounding
+            w_blk[i] = w
+        # y = w^H x for the whole block at once, main and companion alike
+        wh_blk = np.conj(w_blk)
+        out[:, start:stop] = np.sum(wh_blk * x_blk, axis=1).T
+        if companion is not None:
+            xc_blk = companion.channels[:, :, start:stop].transpose(2, 0, 1)
+            out_comp[:, start:stop] = np.sum(wh_blk * xc_blk, axis=1).T
         if weights_log is not None:
-            weights_log[:, frame, :] = w.astype(np.complex64)
+            weights_log[:, start:stop, :] = w_blk.transpose(2, 0, 1)
 
     if diagnostics_path is not None:
-        _write_diagnostics(diagnostics_path, cov.astype(np.complex64), weights_log)
+        _write_diagnostics(
+            diagnostics_path, cov.transpose(2, 0, 1).astype(np.complex64), weights_log
+        )
 
     main = ComplexSpectrogram(data=out, config=aug.config, num_samples=aug.num_samples)
     if companion is None:

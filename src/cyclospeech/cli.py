@@ -43,7 +43,6 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ms-alpha", type=float, dest="ms_alpha")
     parser.add_argument("--ms-bias", type=float, dest="ms_bias")
     parser.add_argument("--gain-floor-db", type=float, dest="gain_floor_db")
-    parser.add_argument("--seed", type=int, dest="seed")
     parser.add_argument(
         "--modset",
         dest="forced_modset",

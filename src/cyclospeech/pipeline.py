@@ -67,7 +67,6 @@ class PipelineConfig:
     gain_floor_db: float = -25.0
     # when set, bypasses estimation entirely
     forced_modset: Optional[tuple[float, ...]] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.preproc not in PREPROC_CHOICES:
@@ -140,7 +139,7 @@ class PipelineConfig:
 
 _INT_KEYS = {
     "sample_rate", "frame_len", "hop", "fft_size", "weight_stride",
-    "peak_count", "max_shifts", "welch_seg", "seed",
+    "peak_count", "max_shifts", "welch_seg",
 }
 _FLOAT_KEYS = {
     "beta_x", "diag_load", "coherence_threshold", "welch_overlap",

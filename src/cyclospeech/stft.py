@@ -169,13 +169,17 @@ class StftConfig:
 
 
 def default_stft_config(sample_rate: int = 16000) -> StftConfig:
-    """32 ms frames, 8 ms hop, 512-point FFT, square-root periodic Hann pair."""
+    """32 ms frames, 8 ms hop, square-root periodic Hann pair.
+
+    The FFT size is the next power of two at or above the frame length
+    (512 points at 16 kHz).
+    """
     frame_len = round(0.032 * sample_rate)
     hop = round(0.008 * sample_rate)
     return StftConfig(
         frame_len=frame_len,
         hop=hop,
-        fft_size=512,
+        fft_size=1 << (frame_len - 1).bit_length(),
         window=np.sqrt(periodic_hann(frame_len)),
         sample_rate=sample_rate,
     )

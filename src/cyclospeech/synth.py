@@ -52,7 +52,6 @@ class HarmonicNoiseParams:
 @dataclass
 class MixSpec:
     snr_db: float
-    seed: int = 0
 
     def __post_init__(self):
         if not np.isfinite(self.snr_db):

@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclospeech import (
     HarmonicNoiseParams,
@@ -13,8 +18,8 @@ from cyclospeech import (
     solve_weights,
     synth_harmonic_cs_noise,
     synth_speech_like,
-    update_covariance,
 )
+from cyclospeech import beamformer
 from cyclospeech.beamformer import DIAGNOSTICS_MAGIC
 from cyclospeech.modulation import AugmentedSpectrogram
 from cyclospeech.stft import periodic_hann
@@ -38,41 +43,6 @@ def kkt_oracle(cov):
     rhs = np.zeros(c + 1, dtype=complex)
     rhs[c] = 1.0
     return np.linalg.solve(kkt, rhs)[:c]
-
-
-def test_update_converges_to_outer_product():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    target = np.outer(x, np.conj(x))
-    cov = np.zeros((4, 4), dtype=complex)
-    for _ in range(200):
-        cov = update_covariance(cov, x, beta_x=0.95)
-    assert np.linalg.norm(cov - target) <= 1e-4 * np.linalg.norm(target)
-
-
-def test_update_zero_vector_scales_previous():
-    rng = np.random.default_rng(1)
-    prev = random_hpd(rng, 3)
-    out = update_covariance(prev, np.zeros(3, dtype=complex), beta_x=0.95)
-    assert np.array_equal(out, 0.95 * prev)
-
-
-def test_update_validates_inputs():
-    with pytest.raises(ValueError, match="beta_x"):
-        update_covariance(np.eye(2), np.ones(2), beta_x=1.5)
-    with pytest.raises(ValueError, match="match"):
-        update_covariance(np.eye(3), np.ones(2), beta_x=0.95)
-
-
-def test_update_preserves_hermitian_psd():
-    rng = np.random.default_rng(2)
-    cov = random_hpd(rng, 5)
-    for _ in range(50):
-        x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        cov = update_covariance(cov, x, beta_x=0.9)
-        assert np.abs(cov - cov.conj().T).max() <= 1e-12 * np.abs(cov).max()
-        eigs = np.linalg.eigvalsh(cov)
-        assert eigs.min() >= -1e-10 * np.trace(cov).real
 
 
 def test_identity_covariance_passthrough_weights():
@@ -236,3 +206,191 @@ def test_companion_cofiltering_is_linear(cfg16k):
     assert np.abs(y.data - (y_speech.data + y_noise.data)).max() <= 1e-9 * np.abs(
         y.data
     ).max()
+
+
+# --- the tracked inverse, driven through process ---------------------------
+
+
+def stack(channels):
+    """Wrap a (C, K, L) array as an augmented stack with K-point frames."""
+    c, k, _ = channels.shape
+    cfg = StftConfig(
+        frame_len=k,
+        hop=k // 4,
+        fft_size=k,
+        window=np.sqrt(periodic_hann(k)),
+        sample_rate=FS,
+    )
+    shifts = ModulationSet(tuple(50.0 * i for i in range(c)))
+    return AugmentedSpectrogram(channels=channels, modset=shifts, config=cfg)
+
+
+def process_with_diagnostics(aug, **kwargs):
+    """Run process with a sidecar; returns (output, final cov, weights)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bf.diag")
+        out = cmpdr_process(aug, diagnostics_path=path, **kwargs)
+        cov, weights = read_diagnostics(path)
+    return out, cov, weights
+
+
+def covariance_trajectory(chans, beta_x=0.95):
+    """Yield (x (K, C), S (K, C, C)) per frame of the documented recursion."""
+    c, _, l = chans.shape
+    warm = min(10, l)
+    delta = 1e-3 * np.mean(np.abs(chans[0, :, :warm]) ** 2, axis=1)
+    cov = delta[:, None, None] * np.eye(c, dtype=complex)
+    for frame in range(l):
+        x = chans[:, :, frame].T
+        cov = beta_x * cov + (1.0 - beta_x) * (x[:, :, None] * np.conj(x[:, None, :]))
+        yield x, cov
+
+
+def loaded_solve_reference(chans, beta_x=0.95, diag_load=1e-6):
+    """The frame loop before inverse tracking: a loaded solve on every frame."""
+    c, k, l = chans.shape
+    out = np.empty((k, l), dtype=complex)
+    e1 = np.zeros((k, c, 1), dtype=complex)
+    e1[:, 0] = 1.0
+    for frame, (x, cov) in enumerate(covariance_trajectory(chans, beta_x)):
+        lam = np.maximum(diag_load * np.einsum("kcc->k", cov).real / c, 1e-30)
+        a = np.linalg.solve(cov + lam[:, None, None] * np.eye(c), e1)[:, :, 0]
+        w = a / a[:, :1]
+        out[:, frame] = np.sum(np.conj(w) * x, axis=1)
+    return out
+
+
+def assert_power_bound(chans, weights):
+    """A2's bound on every frame: w^H S w <= S00 + 1e-9 tr S."""
+    for frame, (_, cov) in enumerate(covariance_trajectory(chans)):
+        w = weights[:, frame, :].astype(complex)
+        out_power = np.einsum("kc,kcd,kd->k", np.conj(w), cov, w).real
+        trace = np.einsum("kcc->k", cov).real
+        assert np.all(out_power <= cov[:, 0, 0].real + 1e-9 * trace), frame
+
+
+def random_channels(c, k, l, seed):
+    """Complex Gaussian channels, partly coherent with channel 0, with
+    per-bin levels spread over six decades."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((c, k, l)) + 1j * rng.standard_normal((c, k, l))
+    z[1:] += rng.uniform(0.0, 2.0, size=(c - 1, 1, 1)) * z[0]
+    return z * 10.0 ** rng.uniform(-3.0, 3.0, size=(1, k, 1))
+
+
+random_stacks = st.builds(
+    random_channels,
+    c=st.integers(2, 6),
+    k=st.sampled_from([4, 8, 16]),
+    l=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def test_covariance_converges_to_outer_product():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+    _, cov, _ = process_with_diagnostics(stack(np.repeat(x[:, :, None], 200, axis=2)))
+    target = x.T[:, :, None] * np.conj(x.T[:, None, :])
+    assert np.linalg.norm(cov - target) <= 1e-4 * np.linalg.norm(target)
+
+
+def test_zero_frame_scales_previous_covariance():
+    rng = np.random.default_rng(1)
+    chans = rng.standard_normal((3, 8, 40)) + 1j * rng.standard_normal((3, 8, 40))
+    _, prev, prev_weights = process_with_diagnostics(stack(chans))
+    padded = np.concatenate([chans, np.zeros((3, 8, 1))], axis=2)
+    _, cov, weights = process_with_diagnostics(stack(padded))
+    # complex64 storage: one rounding on each side
+    assert np.allclose(cov, 0.95 * prev, rtol=3e-7, atol=0.0)
+    # a zero frame only rescales P, so the weights carry over
+    assert np.allclose(weights[:, 40], prev_weights[:, 39], rtol=3e-7, atol=0.0)
+
+
+def test_covariance_stays_hermitian_psd():
+    rng = np.random.default_rng(2)
+    chans = rng.standard_normal((5, 8, 50)) + 1j * rng.standard_normal((5, 8, 50))
+    for frames in (1, 2, 5, 33, 50):
+        _, cov, _ = process_with_diagnostics(stack(chans[:, :, :frames]))
+        scale = np.abs(cov).max()
+        assert np.abs(cov - np.conj(np.transpose(cov, (0, 2, 1)))).max() <= 1e-7 * scale
+        eigs = np.linalg.eigvalsh(cov.astype(complex))
+        trace = np.einsum("kcc->k", cov).real
+        assert np.all(eigs.min(axis=1) >= -1e-6 * trace)
+
+
+def test_process_validates_inputs():
+    aug = stack(np.ones((2, 8, 5), dtype=complex))
+    for beta_x in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="beta_x"):
+            cmpdr_process(aug, beta_x=beta_x)
+    with pytest.raises(ValueError, match="weight_stride"):
+        cmpdr_process(aug, weight_stride=0)
+    with pytest.raises(ValueError, match="match"):
+        cmpdr_process(aug, companion=stack(np.ones((2, 8, 6), dtype=complex)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(chans=random_stacks)
+def test_anchor_every_frame_matches_loaded_solve(chans):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beamformer, "_REANCHOR_FRAMES", 1)
+        out = cmpdr_process(stack(chans)).data
+    ref = loaded_solve_reference(chans)
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(chans=random_stacks)
+def test_tracked_weights_distortionless_and_power_bounded(chans):
+    _, _, weights = process_with_diagnostics(stack(chans))
+    assert np.all(weights[:, :, 0] == 1)
+    assert_power_bound(chans, weights)
+
+
+@settings(max_examples=15, deadline=None)
+@given(chans=random_stacks, seed=st.integers(0, 2**32 - 1))
+def test_companion_cofiltering_is_linear_for_any_stack(chans, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2,) + chans.shape) + 1j * rng.standard_normal(
+        (2,) + chans.shape
+    )
+    aug = stack(chans)
+    y, y_self = cmpdr_process(aug, companion=aug)
+    assert np.array_equal(y.data, y_self.data)
+    _, y_a = cmpdr_process(aug, companion=stack(a))
+    _, y_b = cmpdr_process(aug, companion=stack(b))
+    _, y_ab = cmpdr_process(aug, companion=stack(a + b))
+    err = np.abs(y_ab.data - (y_a.data + y_b.data)).max()
+    assert err <= 1e-9 * max(np.abs(y_ab.data).max(), 1e-300)
+
+
+def test_all_zero_stack_passes_through():
+    out, cov, weights = process_with_diagnostics(stack(np.zeros((3, 16, 100), dtype=complex)))
+    assert np.all(out.data == 0)
+    assert np.all(cov == 0)
+    assert np.all(weights == np.array([1.0, 0.0, 0.0], dtype=np.complex64))
+
+
+def test_loud_onset_after_silence_stays_finite():
+    chans = np.zeros((4, 16, 200), dtype=complex)
+    chans[:, :, 100:] = 1e6 * random_channels(4, 16, 100, seed=11)
+    out, _, weights = process_with_diagnostics(stack(chans))
+    assert np.isfinite(out.data).all()
+    assert np.isfinite(weights).all()
+    assert_power_bound(chans, weights)
+
+
+def test_non_finite_bin_is_contained():
+    chans = random_channels(3, 16, 150, seed=12)
+    ref = cmpdr_process(stack(chans)).data
+    chans[1, 5, 70] = np.nan
+    out, _, weights = process_with_diagnostics(stack(chans))
+    out = out.data
+    others = np.arange(16) != 5
+    assert np.array_equal(out[others], ref[others])
+    finite = np.isfinite(out)
+    assert not finite[5, 70]  # the frame whose input is NaN
+    finite[5, 70] = True
+    assert finite.all()
+    assert np.isfinite(weights).all()

@@ -17,6 +17,23 @@ def test_default_config_matches_16k_geometry():
     assert cfg.cola_deviation() <= 1e-10
 
 
+@pytest.mark.parametrize("fs", [8000, 16000, 48000])
+def test_default_config_valid_and_round_trips(fs):
+    cfg = default_stft_config(fs)
+    assert cfg.frame_len == round(0.032 * fs)
+    assert cfg.hop == round(0.008 * fs)
+    # smallest power of two that holds a frame
+    assert cfg.fft_size >= cfg.frame_len > cfg.fft_size // 2
+    assert cfg.fft_size & (cfg.fft_size - 1) == 0
+    assert cfg.cola_deviation() <= 1e-10
+    x = np.random.default_rng(fs).standard_normal(fs // 2 + 17)
+    spec = stft(AudioBuffer(x, fs), cfg)
+    assert spec.num_bins == cfg.fft_size
+    out = istft(spec)
+    assert len(out) == len(x)
+    assert np.abs(out.samples - x).max() <= 1e-12
+
+
 def test_zero_signal_gives_zero_spectrogram(cfg16k):
     spec = stft(AudioBuffer(np.zeros(4000), FS), cfg16k)
     assert spec.shape[0] == 512

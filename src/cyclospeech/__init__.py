@@ -14,7 +14,6 @@ from .baselines import (
     identity_preproc,
     min_stats_noise_psd,
     oracle_irm,
-    wiener_apply,
     wiener_gain,
 )
 from .beamformer import process as cmpdr_process
@@ -25,7 +24,6 @@ from .modset import (
     CoherenceReport,
     PeakList,
     candidate_modulations,
-    estimate_modulation_set,
     estimate_modulation_set_detailed,
     pick_peaks,
     spectral_coherence,
@@ -38,6 +36,7 @@ from .pipeline import (
     PipelineError,
     enhance_buffer,
     run_pipeline,
+    select_modulation_set,
     trim_edges,
 )
 from .stft import (

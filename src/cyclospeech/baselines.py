@@ -16,7 +16,6 @@ __all__ = [
     "identity_preproc",
     "min_stats_noise_psd",
     "wiener_gain",
-    "wiener_apply",
     "apply_mask",
     "oracle_irm",
 ]
@@ -113,16 +112,6 @@ def wiener_gain(
         gain = 1.0 - noise_psd / smoothed
     gain[~np.isfinite(gain)] = 0.0
     return np.maximum(gain, gain_floor)
-
-
-def wiener_apply(
-    noisy: ComplexSpectrogram,
-    noise,
-    gain_floor: float = DEFAULT_GAIN_FLOOR,
-    smooth_alpha: float = 0.85,
-) -> ComplexSpectrogram:
-    gain = wiener_gain(noisy, noise, gain_floor=gain_floor, smooth_alpha=smooth_alpha)
-    return replace(noisy, data=gain * noisy.data)
 
 
 def apply_mask(y: ComplexSpectrogram, mask: np.ndarray) -> ComplexSpectrogram:

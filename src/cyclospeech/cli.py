@@ -6,60 +6,51 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .dataset import SynthSettings, eval_dataset, synth_dataset
-from .modset import estimate_modulation_set_detailed
 from .pipeline import (
     MASK_CHOICES,
     PREPROC_CHOICES,
     PipelineConfig,
     PipelineError,
+    field_parser,
     run_pipeline,
+    select_modulation_set,
 )
 from .wavio import read_wav
 
 logger = logging.getLogger(__name__)
 
-_OVERRIDE_KEYS = [f.name for f in fields(PipelineConfig)]
+_CHOICES = {"preproc": PREPROC_CHOICES, "mask": MASK_CHOICES}
+_MODSET_HELP = "comma-separated shifts in Hz (e.g. 0,110,220) to bypass estimation"
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
+    """One flag per ``PipelineConfig`` field, ``--dashed-name`` (``--modset``
+    for ``forced_modset``), parsed as ``PipelineConfig.from_mapping`` parses
+    that key. A flag left out is absent from the namespace."""
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--preproc", choices=PREPROC_CHOICES)
-    parser.add_argument("--mask", choices=MASK_CHOICES)
-    parser.add_argument("--sample-rate", type=int, dest="sample_rate")
-    parser.add_argument("--beta-x", type=float, dest="beta_x")
-    parser.add_argument("--diag-load", type=float, dest="diag_load")
-    parser.add_argument("--weight-stride", type=int, dest="weight_stride")
-    parser.add_argument("--peak-count", type=int, dest="peak_count")
-    parser.add_argument(
-        "--coherence-threshold", type=float, dest="coherence_threshold"
-    )
-    parser.add_argument("--max-shifts", type=int, dest="max_shifts")
-    parser.add_argument("--welch-seg", type=int, dest="welch_seg")
-    parser.add_argument("--ms-window-sec", type=float, dest="ms_window_sec")
-    parser.add_argument("--ms-alpha", type=float, dest="ms_alpha")
-    parser.add_argument("--ms-bias", type=float, dest="ms_bias")
-    parser.add_argument("--gain-floor-db", type=float, dest="gain_floor_db")
-    parser.add_argument(
-        "--modset",
-        dest="forced_modset",
-        help="comma-separated shifts in Hz (e.g. 0,110,220) to bypass estimation",
-    )
+    for f in fields(PipelineConfig):
+        is_modset = f.name == "forced_modset"
+        parser.add_argument(
+            "--modset" if is_modset else "--" + f.name.replace("_", "-"),
+            dest=f.name,
+            type=field_parser(f.name),
+            choices=_CHOICES.get(f.name),
+            default=argparse.SUPPRESS,
+            help=_MODSET_HELP if is_modset else None,
+        )
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     config = (
         PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
     )
-    mapping = config.as_mapping()
-    for key in _OVERRIDE_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            mapping[key] = value
-    return PipelineConfig.from_mapping(mapping)
+    given = vars(args)
+    overrides = {f.name: given[f.name] for f in fields(config) if f.name in given}
+    return replace(config, **overrides)
 
 
 def _log_config(config: PipelineConfig, log_path=None) -> None:
@@ -110,10 +101,7 @@ def _cmd_eval(args) -> int:
             preproc, mask = spec.split(":")
         except ValueError:
             raise PipelineError("config", f"bad --pipeline spec {spec!r}; use preproc:mask")
-        mapping = base.as_mapping()
-        mapping["preproc"] = preproc
-        mapping["mask"] = mask
-        configs.append(PipelineConfig.from_mapping(mapping))
+        configs.append(replace(base, preproc=preproc, mask=mask))
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.dataset_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _log_config(base, out_dir / "run.log")
@@ -127,15 +115,7 @@ def _cmd_eval(args) -> int:
 def _cmd_modset(args) -> int:
     config = _build_config(args)
     signal = read_wav(args.input)
-    modset, reports = estimate_modulation_set_detailed(
-        signal,
-        config.stft_config(),
-        peak_count=config.peak_count,
-        coherence_threshold=config.coherence_threshold,
-        max_shifts=config.max_shifts,
-        seg_len=config.welch_seg,
-        overlap=config.welch_overlap,
-    )
+    modset, reports = select_modulation_set(signal, config)
     for report in reports:
         flag = "accepted" if report.accepted else "rejected"
         print(f"candidate {report.candidate_hz:10.3f} Hz  "

@@ -41,7 +41,6 @@ __all__ = [
     "pick_peaks",
     "candidate_modulations",
     "spectral_coherence",
-    "estimate_modulation_set",
     "estimate_modulation_set_detailed",
 ]
 
@@ -322,7 +321,9 @@ def estimate_modulation_set_detailed(
     dominant harmonic family, and pairs every noise harmonic with its direct
     neighbour; the remaining slots are filled by coherence rank.
 
-    Raises ``ValueError`` on a NaN or infinite sample, naming its index.
+    Raises ``ValueError`` on a NaN or infinite sample, naming its index, and
+    on a recording shorter than ``min_duration_sec`` (2 s by default). On
+    any longer input the worst case is the trivial set ``{0}``.
     """
     signal.require_finite()
     if signal.duration < min_duration_sec:
@@ -375,29 +376,3 @@ def estimate_modulation_set_detailed(
         len(reports),
     )
     return modset, reports
-
-
-def estimate_modulation_set(
-    signal: AudioBuffer,
-    cfg: StftConfig,
-    peak_count: int = 20,
-    coherence_threshold: float = 0.3,
-    max_shifts: int = 5,
-    seg_len: int = 4096,
-    overlap: float = 0.5,
-    min_duration_sec: float = 2.0,
-    min_shift_hz: float | None = None,
-) -> ModulationSet:
-    """Estimate the modulation set; worst case returns the trivial set {0}."""
-    modset, _ = estimate_modulation_set_detailed(
-        signal,
-        cfg,
-        peak_count=peak_count,
-        coherence_threshold=coherence_threshold,
-        max_shifts=max_shifts,
-        seg_len=seg_len,
-        overlap=overlap,
-        min_duration_sec=min_duration_sec,
-        min_shift_hz=min_shift_hz,
-    )
-    return modset

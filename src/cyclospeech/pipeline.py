@@ -4,11 +4,11 @@ the wav-in/wav-out entry point."""
 from __future__ import annotations
 
 import logging
+import typing
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-import numpy as np
-
+from . import modset as modset_module
 from .baselines import (
     apply_mask,
     identity_preproc,
@@ -18,12 +18,12 @@ from .baselines import (
 )
 from .beamformer import process as cmpdr_process
 from .metrics import MetricRecord, si_sdr, stoi
-from .modset import estimate_modulation_set
+from .modset import CoherenceReport
 from .modulation import ModulationSet, build_augmented
-from .stft import AudioBuffer, StftConfig, istft, periodic_hann, stft
+from .stft import AudioBuffer, StftConfig, default_stft_config, istft, stft
 from .wavio import read_wav, write_wav
 
-__all__ = ["PipelineConfig", "PipelineError", "EnhanceResult", "enhance_buffer", "run_pipeline", "trim_edges"]
+__all__ = ["PipelineConfig", "PipelineError", "EnhanceResult", "enhance_buffer", "run_pipeline", "select_modulation_set", "trim_edges"]
 
 logger = logging.getLogger(__name__)
 
@@ -45,9 +45,6 @@ class PipelineConfig:
     key=value file with CLI overrides."""
 
     sample_rate: int = 16000
-    frame_len: int = 512
-    hop: int = 128
-    fft_size: int = 512
     preproc: str = "cmpdr"
     mask: str = "none"
     # beamformer
@@ -88,13 +85,9 @@ class PipelineConfig:
             ModulationSet(self.forced_modset)  # validates zero-first/distinct
 
     def stft_config(self) -> StftConfig:
-        return StftConfig(
-            frame_len=self.frame_len,
-            hop=self.hop,
-            fft_size=self.fft_size,
-            window=np.sqrt(periodic_hann(self.frame_len)),
-            sample_rate=self.sample_rate,
-        )
+        """The analysis geometry, which follows ``sample_rate``: 32 ms
+        frames, 8 ms hop (512/128/512 points at 16 kHz)."""
+        return default_stft_config(self.sample_rate)
 
     @property
     def gain_floor(self) -> float:
@@ -108,18 +101,17 @@ class PipelineConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "forced_modset":
-                value = "" if value is None else ",".join(f"{s:g}" for s in value)
+                value = "" if value is None else ",".join(repr(s) for s in value)
             out[f.name] = value
         return out
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "PipelineConfig":
         kwargs = {}
-        by_name = {f.name: f for f in fields(cls)}
         for key, raw in mapping.items():
-            if key not in by_name:
+            if key not in _FIELD_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = _parse_value(key, raw)
+            kwargs[key] = field_parser(key)(raw) if isinstance(raw, str) else raw
         return cls(**kwargs)
 
     @classmethod
@@ -137,29 +129,40 @@ class PipelineConfig:
         return cls.from_mapping(mapping)
 
 
-_INT_KEYS = {
-    "sample_rate", "frame_len", "hop", "fft_size", "weight_stride",
-    "peak_count", "max_shifts", "welch_seg",
-}
-_FLOAT_KEYS = {
-    "beta_x", "diag_load", "coherence_threshold", "welch_overlap",
-    "ms_window_sec", "ms_alpha", "ms_bias", "gain_floor_db",
-}
+_FIELD_TYPES = typing.get_type_hints(PipelineConfig)
 
 
-def _parse_value(key: str, raw):
-    if not isinstance(raw, str):
-        return raw
-    if key == "forced_modset":
-        raw = raw.strip()
-        if not raw:
-            return None
-        return tuple(float(tok) for tok in raw.split(","))
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    return raw
+def _parse_shifts(raw: str) -> Optional[tuple[float, ...]]:
+    raw = raw.strip()
+    return tuple(float(tok) for tok in raw.split(",")) if raw else None
+
+
+def field_parser(name: str):
+    """The string parser of one config field: its annotated type, except for
+    ``forced_modset``, which is comma-separated shifts ("" for none)."""
+    return _parse_shifts if name == "forced_modset" else _FIELD_TYPES[name]
+
+
+def select_modulation_set(
+    signal: AudioBuffer, config: PipelineConfig
+) -> tuple[ModulationSet, list[CoherenceReport]]:
+    """The shifts the beamformer uses on ``signal``: ``config.forced_modset``
+    when set (with no candidate reports), else the estimate from the signal.
+
+    The estimator is looked up on its module at call time, so a wrapper
+    installed there (as the traced benchmark does) sees every estimate.
+    """
+    if config.forced_modset is not None:
+        return ModulationSet(config.forced_modset), []
+    return modset_module.estimate_modulation_set_detailed(
+        signal,
+        config.stft_config(),
+        peak_count=config.peak_count,
+        coherence_threshold=config.coherence_threshold,
+        max_shifts=config.max_shifts,
+        seg_len=config.welch_seg,
+        overlap=config.welch_overlap,
+    )
 
 
 @dataclass
@@ -178,18 +181,7 @@ def _preprocess(noisy: AudioBuffer, config: PipelineConfig, clean: Optional[Audi
     """
     cfg = config.stft_config()
     if config.preproc == "cmpdr":
-        if config.forced_modset is not None:
-            modset = ModulationSet(config.forced_modset)
-        else:
-            modset = estimate_modulation_set(
-                noisy,
-                cfg,
-                peak_count=config.peak_count,
-                coherence_threshold=config.coherence_threshold,
-                max_shifts=config.max_shifts,
-                seg_len=config.welch_seg,
-                overlap=config.welch_overlap,
-            )
+        modset, _ = select_modulation_set(noisy, config)
         logger.info("modulation set: %s Hz", [round(s, 3) for s in modset.shifts])
         aug = build_augmented(noisy, modset, cfg)
         if clean is None:

@@ -16,7 +16,7 @@ from cyclospeech import (
     cmpdr_process,
     default_stft_config,
     enhance_buffer,
-    estimate_modulation_set,
+    estimate_modulation_set_detailed,
     eval_dataset,
     mix_at_snr,
     read_diagnostics,
@@ -187,7 +187,7 @@ def test_a5_modulation_set_recovery():
         noise = synth_harmonic_cs_noise(
             10.0, FS, HarmonicNoiseParams(f0=f0, seed=700 + seed)
         )
-        modset = estimate_modulation_set(noise, CFG)
+        modset = estimate_modulation_set_detailed(noise, CFG)[0]
         nonzero = [s for s in modset.shifts if s != 0.0]
         if nonzero and min(abs(s - f0) for s in nonzero) <= WELCH_RES:
             hits += 1
@@ -195,7 +195,7 @@ def test_a5_modulation_set_recovery():
     for seed in range(1, 51):
         rng = np.random.default_rng(900 + seed)
         white = AudioBuffer(rng.standard_normal(10 * FS), FS)
-        if estimate_modulation_set(white, CFG).shifts == (0.0,):
+        if estimate_modulation_set_detailed(white, CFG)[0].shifts == (0.0,):
             trivial += 1
     ok = hits >= 40 and trivial >= 48
     report(

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cyclospeech import (
     trim_edges,
     write_wav,
 )
+from cyclospeech.cli import _build_config, build_parser
 from cyclospeech.cli import main as cli_main
 from cyclospeech.dataset import SynthSettings
 
@@ -182,3 +184,61 @@ def test_eval_dataset_skips_non_finite_mixture(tmp_path):
     assert len(skips) == 1 and "non-finite sample" in skips[0] and "index 1000" in skips[0]
     log_text = (tmp_path / "res" / "skipped.log").read_text(encoding="utf-8")
     assert "index 1000" in log_text
+
+
+# A value other than the default for every PipelineConfig field; a field
+# missing here fails the flag test below.
+NON_DEFAULT = {
+    "sample_rate": 8000,
+    "preproc": "wiener",
+    "mask": "oracle-irm",
+    "beta_x": 0.9,
+    "diag_load": 2.5e-5,
+    "weight_stride": 4,
+    "peak_count": 12,
+    "coherence_threshold": 0.45,
+    "max_shifts": 3,
+    "welch_seg": 2048,
+    "welch_overlap": 0.25,
+    "ms_window_sec": 1.25,
+    "ms_alpha": 0.8,
+    "ms_bias": 2.0,
+    "gain_floor_db": -20.0,
+    "forced_modset": (0.0, 97.31234567, 194.6246913),
+}
+
+
+def _flag(name):
+    return "--modset" if name == "forced_modset" else "--" + name.replace("_", "-")
+
+
+@pytest.mark.parametrize("field", fields(PipelineConfig), ids=lambda f: f.name)
+def test_every_config_field_has_a_flag_parsed_like_the_config_file(field):
+    value = NON_DEFAULT[field.name]
+    text = str(PipelineConfig(**{field.name: value}).as_mapping()[field.name])
+    args = build_parser().parse_args(["modset", "in.wav", _flag(field.name), text])
+    from_flag = _build_config(args)
+    assert from_flag == PipelineConfig.from_mapping({field.name: text})
+    assert from_flag == PipelineConfig(**{field.name: value})
+
+
+def test_flags_override_the_config_file(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("beta_x=0.9\nmax_shifts=3\nforced_modset=0,100\n", encoding="utf-8")
+    argv = ["modset", "in.wav", "--config", str(path), "--max-shifts", "4", "--modset", ""]
+    config = _build_config(build_parser().parse_args(argv))
+    assert config == PipelineConfig(beta_x=0.9, max_shifts=4, forced_modset=None)
+
+
+def test_eval_short_clip_scores_id_and_skips_cmpdr_with_stage(tmp_path):
+    clean_dir = make_clean_dir(tmp_path, count=1, duration=1.5)
+    ds = tmp_path / "ds"
+    synth_dataset(clean_dir, ds, SynthSettings(seed=6))
+    configs = [PipelineConfig(preproc="id"), PipelineConfig(preproc="cmpdr")]
+    records, skips = eval_dataset(ds, configs, out_dir=tmp_path / "res")
+    assert [r.preproc for r in records] == ["id"]
+    assert np.isfinite(records[0].si_sdr_db) and np.isfinite(records[0].stoi)
+    log_text = (tmp_path / "res" / "skipped.log").read_text(encoding="utf-8")
+    assert log_text == skips[0] + "\n"
+    assert "[cmpdr+none]" in log_text and "[enhance]" in log_text
+    assert "shorter than" in log_text

@@ -8,7 +8,6 @@ from cyclospeech import (
     HarmonicNoiseParams,
     PeakList,
     candidate_modulations,
-    estimate_modulation_set,
     estimate_modulation_set_detailed,
     pick_peaks,
     spectral_coherence,
@@ -166,19 +165,19 @@ def test_coherence_zero_energy_rejected(cfg16k):
 
 
 def test_estimate_white_noise_trivial(cfg16k, white_10s):
-    modset = estimate_modulation_set(white_10s, cfg16k)
+    modset = estimate_modulation_set_detailed(white_10s, cfg16k)[0]
     assert modset.shifts == (0.0,)
 
 
 def test_estimate_recovers_f0(cfg16k, cs_noise_10s):
-    modset = estimate_modulation_set(cs_noise_10s, cfg16k)
+    modset = estimate_modulation_set_detailed(cs_noise_10s, cfg16k)[0]
     nonzero = [s for s in modset.shifts if s != 0.0]
     assert nonzero, "estimator returned only the trivial shift"
     assert min(abs(s - 100.0) for s in nonzero) <= WELCH_RES
 
 
 def test_estimate_cmax_one_always_trivial(cfg16k, cs_noise_10s):
-    modset = estimate_modulation_set(cs_noise_10s, cfg16k, max_shifts=1)
+    modset = estimate_modulation_set_detailed(cs_noise_10s, cfg16k, max_shifts=1)[0]
     assert modset.shifts == (0.0,)
 
 
@@ -196,12 +195,12 @@ def test_estimate_returns_valid_set(cfg16k, cs_noise_10s):
 def test_estimate_short_signal_rejected(cfg16k):
     sig = AudioBuffer(np.random.default_rng(15).standard_normal(FS), FS)
     with pytest.raises(ValueError, match="shorter"):
-        estimate_modulation_set(sig, cfg16k)
+        estimate_modulation_set_detailed(sig, cfg16k)[0]
 
 
 def test_estimate_deterministic(cfg16k, cs_noise_10s):
-    a = estimate_modulation_set(cs_noise_10s, cfg16k)
-    b = estimate_modulation_set(cs_noise_10s, cfg16k)
+    a = estimate_modulation_set_detailed(cs_noise_10s, cfg16k)[0]
+    b = estimate_modulation_set_detailed(cs_noise_10s, cfg16k)[0]
     assert a.shifts == b.shifts
 
 

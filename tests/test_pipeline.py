@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -8,6 +10,7 @@ from cyclospeech import (
     MixSpec,
     PipelineConfig,
     PipelineError,
+    default_stft_config,
     enhance_buffer,
     mix_at_snr,
     read_wav,
@@ -62,6 +65,37 @@ def test_config_file_roundtrip(tmp_path):
         {k: str(v) for k, v in config.as_mapping().items()}
     )
     assert back == config
+
+
+@pytest.mark.parametrize("fs", [8000, 16000, 48000])
+def test_config_geometry_follows_sample_rate(fs):
+    got = PipelineConfig(sample_rate=fs).stft_config()
+    want = default_stft_config(fs)
+    assert (got.frame_len, got.hop, got.fft_size, got.sample_rate) == (
+        want.frame_len, want.hop, want.fft_size, want.sample_rate,
+    )
+    assert np.array_equal(got.window, want.window)
+    assert np.array_equal(got.synthesis_window, want.synthesis_window)
+
+
+@pytest.mark.parametrize("fs", [8000, 48000])
+@pytest.mark.parametrize(
+    "config",
+    [
+        PipelineConfig(preproc="id"),
+        PipelineConfig(preproc="wiener"),
+        PipelineConfig(preproc="cmpdr", forced_modset=(0.0, 100.0, 200.0)),
+    ],
+    ids=["id", "wiener", "cmpdr"],
+)
+def test_enhance_off_16k_is_finite_and_length_preserving(fs, config):
+    speech = synth_speech_like(2.0, fs, seed=51)
+    noise = synth_harmonic_cs_noise(2.0, fs, HarmonicNoiseParams(f0=100.0, seed=52))
+    mix, _ = mix_at_snr(speech, noise, MixSpec(snr_db=-5.0))
+    result = enhance_buffer(mix, replace(config, sample_rate=fs))
+    assert len(result.enhanced) == len(mix)
+    assert result.enhanced.sample_rate == fs
+    assert np.all(np.isfinite(result.enhanced.samples))
 
 
 def test_config_unknown_key_rejected(tmp_path):

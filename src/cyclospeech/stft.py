@@ -171,11 +171,13 @@ class StftConfig:
 def default_stft_config(sample_rate: int = 16000) -> StftConfig:
     """32 ms frames, 8 ms hop, square-root periodic Hann pair.
 
-    The FFT size is the next power of two at or above the frame length
-    (512 points at 16 kHz).
+    The hop is 8 ms rounded to whole samples and the frame is four hops, so
+    the hop divides the frame at every rate (1412/353 at 44.1 kHz). The FFT
+    size is the next power of two at or above the frame length (512 points
+    at 16 kHz).
     """
-    frame_len = round(0.032 * sample_rate)
     hop = round(0.008 * sample_rate)
+    frame_len = 4 * hop
     return StftConfig(
         frame_len=frame_len,
         hop=hop,

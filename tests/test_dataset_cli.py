@@ -171,6 +171,27 @@ def test_cli_errors_return_nonzero(tmp_path, capsys):
     assert rc == 2
 
 
+def test_cli_enhance_and_modset_at_44k(tmp_path, capsys):
+    fs = 44100
+    mix = tmp_path / "mix44k.wav"
+    write_wav(mix, synth_speech_like(2.5, fs, seed=53))
+    out = tmp_path / "enhanced.wav"
+    rc = cli_main(
+        [
+            "enhance", str(mix), str(out), "--sample-rate", str(fs),
+            "--preproc", "cmpdr", "--modset", "0,100,200",
+        ]
+    )
+    assert rc == 0, capsys.readouterr().err
+    enhanced = read_wav(out)
+    assert enhanced.sample_rate == fs
+    assert len(enhanced) == len(read_wav(mix))
+
+    rc = cli_main(["modset", str(mix), "--sample-rate", str(fs)])
+    assert rc == 0, capsys.readouterr().err
+    assert "modulation set [Hz]: 0" in capsys.readouterr().out
+
+
 def test_eval_dataset_skips_non_finite_mixture(tmp_path):
     clean_dir = make_clean_dir(tmp_path)
     ds = tmp_path / "ds"

@@ -67,7 +67,7 @@ def test_config_file_roundtrip(tmp_path):
     assert back == config
 
 
-@pytest.mark.parametrize("fs", [8000, 16000, 48000])
+@pytest.mark.parametrize("fs", [8000, 11025, 16000, 22050, 44100, 48000])
 def test_config_geometry_follows_sample_rate(fs):
     got = PipelineConfig(sample_rate=fs).stft_config()
     want = default_stft_config(fs)
@@ -78,7 +78,7 @@ def test_config_geometry_follows_sample_rate(fs):
     assert np.array_equal(got.synthesis_window, want.synthesis_window)
 
 
-@pytest.mark.parametrize("fs", [8000, 48000])
+@pytest.mark.parametrize("fs", [8000, 11025, 22050, 44100, 48000])
 @pytest.mark.parametrize(
     "config",
     [

@@ -9,6 +9,21 @@ from cyclospeech.stft import _frame_signal, default_stft_config, periodic_hann
 FS = 16000
 
 
+@pytest.mark.parametrize(
+    "fs, geometry",
+    [
+        (8000, (256, 64, 256)),
+        (11025, (352, 88, 512)),
+        (22050, (704, 176, 1024)),
+        (44100, (1412, 353, 2048)),
+        (48000, (1536, 384, 2048)),
+    ],
+)
+def test_default_config_geometry_off_16k(fs, geometry):
+    cfg = default_stft_config(fs)
+    assert (cfg.frame_len, cfg.hop, cfg.fft_size) == geometry
+
+
 def test_default_config_matches_16k_geometry():
     cfg = default_stft_config(FS)
     assert cfg.frame_len == 512  # 32 ms at 16 kHz
@@ -17,11 +32,11 @@ def test_default_config_matches_16k_geometry():
     assert cfg.cola_deviation() <= 1e-10
 
 
-@pytest.mark.parametrize("fs", [8000, 16000, 48000])
+@pytest.mark.parametrize("fs", [8000, 11025, 16000, 22050, 44100, 48000])
 def test_default_config_valid_and_round_trips(fs):
     cfg = default_stft_config(fs)
-    assert cfg.frame_len == round(0.032 * fs)
     assert cfg.hop == round(0.008 * fs)
+    assert cfg.frame_len == 4 * cfg.hop
     # smallest power of two that holds a frame
     assert cfg.fft_size >= cfg.frame_len > cfg.fft_size // 2
     assert cfg.fft_size & (cfg.fft_size - 1) == 0

@@ -52,8 +52,8 @@ _ABS_LOAD_FLOOR = 1e-30
 # rounding drift of the rank-1 updates and restore the loading.
 _REANCHOR_FRAMES = 32
 
-# Frames per block: each block of input frames is transposed into one
-# bins-innermost (B, C, K) buffer, and its outputs y = w^H x are formed at once.
+# Frames per block: the outputs y = w^H x of a block of frames are formed at
+# once.
 _BLOCK_FRAMES = 64
 
 
@@ -157,13 +157,19 @@ def process(
         )
         return main, comp
 
+    # (C, L, K) views: on build_augmented's frame-major stacks each frame of
+    # each channel is a contiguous run of K values. Every sum below runs over
+    # a buffer of fixed layout, so the output does not depend on the stack's.
+    frames = chans.transpose(0, 2, 1)
+    frames_comp = companion.channels.transpose(0, 2, 1) if companion is not None else None
+
     # S and P are (C, C, K), bins innermost, so each per-frame step is a few
     # whole-array operations over contiguous runs of K values. S is
     # warm-started at a small multiple of the early per-bin input power.
     warm = min(10, l)
     cov = np.zeros((c, c, k), dtype=np.complex128)
     cov[np.arange(c), np.arange(c)] = 1e-3 * np.mean(
-        np.abs(chans[0, :, :warm]) ** 2, axis=1
+        np.abs(np.ascontiguousarray(frames[0, :warm])) ** 2, axis=0
     )
     inv = np.empty_like(cov)
     outer = np.empty_like(cov)
@@ -174,12 +180,14 @@ def process(
     weights_log = (
         np.empty((k, l, c), dtype=np.complex64) if diagnostics_path is not None else None
     )
+    w_buf = np.empty((c, _BLOCK_FRAMES, k), dtype=np.complex128)
+    prod_buf = np.empty_like(w_buf)
     for start in range(0, l, _BLOCK_FRAMES):
         stop = min(start + _BLOCK_FRAMES, l)
-        x_blk = np.ascontiguousarray(chans[:, :, start:stop].transpose(2, 0, 1))
-        w_blk = np.empty_like(x_blk)
+        x_blk = frames[:, start:stop]  # (C, B, K)
+        w_blk, prod = w_buf[:, : stop - start], prod_buf[:, : stop - start]
         for i, frame in enumerate(range(start, stop)):
-            x = x_blk[i]  # (C, K)
+            x = x_blk[:, i]  # (C, K)
             xh = np.conj(x)
             np.multiply(((1.0 - beta_x) * x)[:, None, :], xh[None, :, :], out=outer)
             cov *= beta_x
@@ -202,15 +210,15 @@ def process(
             if frame % weight_stride == 0:
                 w = inv[:, 0] / inv[0, 0]
                 w[0] = 1.0  # the distortionless constraint, without rounding
-            w_blk[i] = w
+            w_blk[:, i] = w
         # y = w^H x for the whole block at once, main and companion alike
         wh_blk = np.conj(w_blk)
-        out[:, start:stop] = np.sum(wh_blk * x_blk, axis=1).T
+        out[:, start:stop] = np.multiply(wh_blk, x_blk, out=prod).sum(axis=0).T
         if companion is not None:
-            xc_blk = companion.channels[:, :, start:stop].transpose(2, 0, 1)
-            out_comp[:, start:stop] = np.sum(wh_blk * xc_blk, axis=1).T
+            xc_blk = frames_comp[:, start:stop]
+            out_comp[:, start:stop] = np.multiply(wh_blk, xc_blk, out=prod).sum(axis=0).T
         if weights_log is not None:
-            weights_log[:, start:stop, :] = w_blk.transpose(2, 0, 1)
+            weights_log[:, start:stop, :] = w_blk.transpose(2, 1, 0)
 
     if diagnostics_path is not None:
         _write_diagnostics(

@@ -120,7 +120,8 @@ def _cmd_modset(args) -> int:
         flag = "accepted" if report.accepted else "rejected"
         print(f"candidate {report.candidate_hz:10.3f} Hz  "
               f"coherence {report.coherence:5.3f}  {flag}")
-    print("modulation set [Hz]: " + ",".join(f"{s:g}" for s in modset.shifts))
+    # repr keeps every digit, so the line pastes back into --modset exactly
+    print("modulation set [Hz]: " + ",".join(repr(s) for s in modset.shifts))
     return 0
 
 

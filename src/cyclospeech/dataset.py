@@ -197,6 +197,10 @@ def eval_dataset(
     tasks = [(str(dataset_dir), row, config) for row in rows for config in configs]
 
     if workers > 1:
+        # Forked workers inherit the modules loaded here: load scipy.signal,
+        # which estimation and STOI import on first use, once, not per worker.
+        import scipy.signal  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_eval_one, tasks))
     else:

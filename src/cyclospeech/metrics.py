@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from .stft import AudioBuffer
 
@@ -128,6 +127,8 @@ def stoi(estimate: AudioBuffer, reference: AudioBuffer, fs: int | None = None) -
     if fs != estimate.sample_rate or fs != reference.sample_rate:
         raise ValueError("sample-rate mismatch between signals and fs argument")
     if fs != _STOI_FS:
+        from scipy.signal import resample_poly
+
         g = math.gcd(fs, _STOI_FS)
         e = resample_poly(e, _STOI_FS // g, fs // g)
         r = resample_poly(r, _STOI_FS // g, fs // g)

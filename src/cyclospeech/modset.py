@@ -29,7 +29,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import ZoomFFT, find_peaks, welch
 
 from .modulation import ModulationSet, modulate
 from .stft import AudioBuffer, StftConfig, stft
@@ -102,6 +101,8 @@ def welch_periodogram(
         )
     if not 0.0 <= overlap < 1.0:
         raise ValueError("overlap must lie in [0, 1)")
+    from scipy.signal import welch
+
     freqs, psd = welch(
         np.real(signal.samples),
         fs=signal.sample_rate,
@@ -130,6 +131,8 @@ def pick_peaks(
     floor = float(np.median(psd)) * 10.0 ** (threshold_db / 10.0)
     if floor <= 0.0:
         return PeakList(np.empty(0), np.empty(0), resolution)
+    from scipy.signal import find_peaks
+
     idx, _ = find_peaks(psd, height=floor, distance=min_separation_bins)
     if len(idx) > max_peaks:
         idx = idx[np.argsort(psd[idx])[::-1][:max_peaks]]
@@ -259,6 +262,8 @@ class _ShiftSearch:
     """
 
     def __init__(self, n_frames: int, cfg: StftConfig, search_hz: float):
+        from scipy.signal import ZoomFFT
+
         frame_rate = cfg.sample_rate / cfg.hop
         nfft = 1
         while nfft < max(2 * n_frames, frame_rate / 0.01):

@@ -99,7 +99,7 @@ class AugmentedSpectrogram:
     STFT of the input modulated by ``modset.shifts[c]``.
     """
 
-    channels: np.ndarray  # (C, K, L) complex
+    channels: np.ndarray  # (C, K, L) complex; build_augmented's is frame-major
     modset: ModulationSet
     config: StftConfig
     num_samples: int | None = None
@@ -137,16 +137,23 @@ class AugmentedSpectrogram:
 def build_augmented(
     signal: AudioBuffer, modset: ModulationSet, cfg: StftConfig
 ) -> AugmentedSpectrogram:
-    """Stack the STFTs of modulated signal copies, one channel per shift."""
+    """Stack the STFTs of modulated signal copies, one channel per shift.
+
+    The stack is allocated once, frame-major (C, L, K), and each channel's
+    spectrogram is copied into its slot: ``stft(...).data.T`` is the
+    C-contiguous FFT output, so each copy is a plain contiguous one.
+    ``channels`` is the (C, K, L) transposed view of that stack.
+    """
     modset.validate_for_rate(signal.sample_rate)
-    channels = []
-    for alpha in modset.shifts:
-        if alpha == 0.0:
-            channels.append(stft(signal, cfg).data)
-        else:
-            channels.append(stft(modulate(signal, alpha), cfg).data)
+    k, l = cfg.fft_size, cfg.num_frames(len(signal))
+    stack = np.empty((modset.num_channels, l, k), dtype=np.complex128)
+    for slot, alpha in zip(stack, modset.shifts):
+        # the zero shift modulates bit-exactly to a complex copy, so channel 0
+        # is the plain STFT without numpy casting a real frame matrix to
+        # complex next to the stack
+        slot[...] = stft(modulate(signal, alpha), cfg).data.T
     return AugmentedSpectrogram(
-        channels=np.stack(channels, axis=0),
+        channels=stack.transpose(0, 2, 1),
         modset=modset,
         config=cfg,
         num_samples=len(signal),

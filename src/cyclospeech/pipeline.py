@@ -66,6 +66,8 @@ class PipelineConfig:
     forced_modset: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
+        if self.sample_rate <= 0:
+            raise ValueError("sample_rate must be positive")
         if self.preproc not in PREPROC_CHOICES:
             raise ValueError(f"preproc must be one of {PREPROC_CHOICES}")
         if self.mask not in MASK_CHOICES:
@@ -78,6 +80,16 @@ class PipelineConfig:
             raise ValueError("weight_stride, max_shifts and peak_count must be >= 1")
         if not 0.0 <= self.coherence_threshold <= 1.0:
             raise ValueError("coherence_threshold must lie in [0, 1]")
+        if self.welch_seg < 1:
+            raise ValueError("welch_seg must be >= 1")
+        if not 0.0 <= self.welch_overlap < 1.0:
+            raise ValueError("welch_overlap must lie in [0, 1)")
+        if not self.ms_window_sec > 0.0:
+            raise ValueError("ms_window_sec must be positive")
+        if not 0.0 < self.ms_alpha < 1.0:
+            raise ValueError("ms_alpha must lie strictly between 0 and 1")
+        if not self.ms_bias >= 1.0:
+            raise ValueError("ms_bias must be at least 1")
         if self.gain_floor_db >= 0.0:
             raise ValueError("gain_floor_db must be negative")
         if self.forced_modset is not None:

@@ -365,6 +365,26 @@ def test_companion_cofiltering_is_linear_for_any_stack(chans, seed):
     assert err <= 1e-9 * max(np.abs(y_ab.data).max(), 1e-300)
 
 
+def frame_major(chans):
+    """The values of a (C, K, L) array as the transposed view of a (C, L, K)
+    stack, the layout build_augmented produces."""
+    return np.ascontiguousarray(chans.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(chans=random_stacks, seed=st.integers(0, 2**32 - 1))
+def test_output_does_not_depend_on_stack_layout(chans, seed):
+    rng = np.random.default_rng(seed)
+    comp = rng.standard_normal(chans.shape) + 1j * rng.standard_normal(chans.shape)
+    c_ordered, f_major = stack(np.ascontiguousarray(chans)), stack(frame_major(chans))
+    assert f_major.channels.strides[1] == f_major.channels.itemsize  # bins contiguous
+    assert np.array_equal(cmpdr_process(c_ordered).data, cmpdr_process(f_major).data)
+    y_c, comp_c = cmpdr_process(c_ordered, companion=stack(np.ascontiguousarray(comp)))
+    y_f, comp_f = cmpdr_process(f_major, companion=stack(frame_major(comp)))
+    assert np.array_equal(y_c.data, y_f.data)
+    assert np.array_equal(comp_c.data, comp_f.data)
+
+
 def test_all_zero_stack_passes_through():
     out, cov, weights = process_with_diagnostics(stack(np.zeros((3, 16, 100), dtype=complex)))
     assert np.all(out.data == 0)

@@ -263,3 +263,35 @@ def test_eval_short_clip_scores_id_and_skips_cmpdr_with_stage(tmp_path):
     assert log_text == skips[0] + "\n"
     assert "[cmpdr+none]" in log_text and "[enhance]" in log_text
     assert "shorter than" in log_text
+
+
+# One value outside the range its stage enforces, per field.
+OUT_OF_RANGE = {
+    "sample_rate": 0,
+    "welch_seg": 0,
+    "welch_overlap": 1.5,
+    "ms_window_sec": -1.0,
+    "ms_alpha": 2.0,
+    "ms_bias": 0.5,
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_RANGE)
+def test_out_of_range_value_refused_by_constructor_and_flag(name, tmp_path, capsys):
+    value = OUT_OF_RANGE[name]
+    with pytest.raises(ValueError, match=name):
+        PipelineConfig(**{name: value})
+    rc = cli_main(["modset", str(tmp_path / "in.wav"), _flag(name), str(value)])
+    assert rc == 2
+    assert name in capsys.readouterr().err
+
+
+def test_modset_output_pastes_back_into_the_flag(tmp_path, capsys):
+    wav = tmp_path / "in.wav"
+    write_wav(wav, synth_speech_like(1.0, FS, seed=54))
+    shifts = NON_DEFAULT["forced_modset"]
+    rc = cli_main(["modset", str(wav), "--modset", ",".join(map(str, shifts))])
+    assert rc == 0
+    printed = capsys.readouterr().out.split("modulation set [Hz]: ")[1].strip()
+    args = build_parser().parse_args(["modset", str(wav), "--modset", printed])
+    assert _build_config(args).forced_modset == shifts

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from cyclospeech import (
     HarmonicNoiseParams,
     ModulationSet,
     build_augmented,
+    default_stft_config,
     modulate,
     stft,
     synth_harmonic_cs_noise,
@@ -85,11 +88,34 @@ def test_energy_preserved_per_channel(cfg16k):
         assert abs(e - energies[0]) <= 1e-9 * energies[0]
 
 
-def test_channel_zero_bit_identical(cfg16k):
+def test_channel_zero_bit_identical():
+    # and every other channel is the STFT of its own modulated copy, bit for
+    # bit, at each rate: the stack only moves the FFT output into its slot
     rng = np.random.default_rng(3)
-    sig = AudioBuffer(rng.standard_normal(6000), FS)
-    aug = build_augmented(sig, ModulationSet((0.0, 120.0)), cfg16k)
-    assert np.array_equal(aug.channels[0], stft(sig, cfg16k).data)
+    for fs in (8000, 11025, 16000, 44100, 48000):
+        cfg = default_stft_config(fs)
+        sig = AudioBuffer(rng.standard_normal(6000), fs)
+        modset = ModulationSet((0.0, 120.0, -57.3, 0.31 * fs))
+        aug = build_augmented(sig, modset, cfg)
+        assert np.array_equal(aug.channels[0], stft(sig, cfg).data)
+        for c, alpha in enumerate(modset.shifts[1:], start=1):
+            assert np.array_equal(aug.channels[c], stft(modulate(sig, alpha), cfg).data)
+
+
+def test_build_augmented_peak_memory():
+    # the stack is built in place: at most one channel's STFT temporaries
+    # are alive next to it, never a second copy of the stack
+    sig = AudioBuffer(np.random.default_rng(4).standard_normal(10 * FS), FS)
+    cfg = default_stft_config(FS)
+    modset = ModulationSet((0.0, 100.0, 200.0, 300.0, 400.0))
+    build_augmented(sig, modset, cfg)  # first-call setup stays out of the trace
+    tracemalloc.start()
+    try:
+        aug = build_augmented(sig, modset, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * aug.channels.nbytes
 
 
 def test_trivial_modset_single_channel(cfg16k):

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import cyclospeech
 from cyclospeech import (
     AudioBuffer,
     HarmonicNoiseParams,
@@ -211,3 +216,17 @@ def test_run_pipeline_tags_non_finite_input_as_enhance(tmp_path):
     wavfile.write(path, FS, samples)
     with pytest.raises(PipelineError, match=r"\[enhance\] noisy input .* index 1000"):
         run_pipeline(path, PipelineConfig(preproc="id"))
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal, and the scipy.stats it pulls in, load on first use only
+    src = Path(cyclospeech.__file__).resolve().parents[1]
+    code = "import sys, cyclospeech; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

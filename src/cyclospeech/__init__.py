@@ -8,14 +8,7 @@ a harmonic-noise generator, SI-SDR/STOI metrics, and a batch harness round
 out the toolkit.
 """
 
-from .baselines import (
-    NoisePsdEstimate,
-    apply_mask,
-    identity_preproc,
-    min_stats_noise_psd,
-    oracle_irm,
-    wiener_gain,
-)
+from .baselines import apply_mask, min_stats_noise_psd, oracle_irm, wiener_gain
 from .beamformer import process as cmpdr_process
 from .beamformer import read_diagnostics, solve_weights
 from .dataset import SynthSettings, eval_dataset, synth_dataset

@@ -1,19 +1,16 @@
-"""Comparison preprocessors (identity, minimum-statistics Wiener filter) and
-the real-valued mask stage, including an oracle ratio mask that stands in for
-a learned second stage."""
+"""Comparison preprocessor (minimum-statistics Wiener filter) and the
+real-valued mask stage, including an oracle ratio mask that stands in for a
+learned second stage."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
-from scipy.ndimage import minimum_filter1d
 
 from .stft import ComplexSpectrogram
 
 __all__ = [
-    "NoisePsdEstimate",
-    "identity_preproc",
     "min_stats_noise_psd",
     "wiener_gain",
     "apply_mask",
@@ -22,25 +19,8 @@ __all__ = [
 
 DEFAULT_GAIN_FLOOR = 10.0 ** (-25.0 / 20.0)
 
-
-@dataclass
-class NoisePsdEstimate:
-    """Per-bin noise power estimate and the tracker parameters that made it."""
-
-    psd: np.ndarray
-    window_sec: float
-    smooth_alpha: float
-    bias: float
-
-    def __post_init__(self):
-        self.psd = np.asarray(self.psd, dtype=np.float64)
-        if np.any(self.psd < 0):
-            raise ValueError("noise PSD must be nonnegative")
-
-
-def identity_preproc(x: ComplexSpectrogram) -> ComplexSpectrogram:
-    """The trivial preprocessor: pass the spectrogram through unchanged."""
-    return x
+# Floor of the oracle mask's denominator, relative to the mean clean power.
+IRM_EPS_REL = 1e-12
 
 
 def _smoothed_power(data: np.ndarray, smooth_alpha: float) -> np.ndarray:
@@ -61,8 +41,8 @@ def min_stats_noise_psd(
     window_sec: float = 1.5,
     smooth_alpha: float = 0.85,
     bias: float = 1.5,
-) -> NoisePsdEstimate:
-    """Minimum-statistics noise tracker.
+) -> np.ndarray:
+    """Minimum-statistics noise tracker; returns the (K, L) noise PSD.
 
     The smoothed noisy periodogram is tracked per bin and the noise PSD is
     the bias-compensated sliding minimum over a trailing window; the window
@@ -79,6 +59,8 @@ def min_stats_noise_psd(
             f"recording of {noisy.num_frames} frames is shorter than the "
             f"{window_sec} s minimum-tracking window ({win_frames} frames)"
         )
+    from scipy.ndimage import minimum_filter1d
+
     smoothed = _smoothed_power(noisy.data, smooth_alpha)
     # trailing minimum: nearest-edge padding only ever repeats the first
     # frame, which is already inside every early window
@@ -86,14 +68,12 @@ def min_stats_noise_psd(
         smoothed, size=win_frames, axis=1, mode="nearest",
         origin=(win_frames - 1) // 2,
     )
-    return NoisePsdEstimate(
-        psd=bias * floor, window_sec=window_sec, smooth_alpha=smooth_alpha, bias=bias
-    )
+    return bias * floor
 
 
 def wiener_gain(
     noisy: ComplexSpectrogram,
-    noise,
+    noise_psd: np.ndarray,
     gain_floor: float = DEFAULT_GAIN_FLOOR,
     smooth_alpha: float = 0.85,
 ) -> np.ndarray:
@@ -101,7 +81,7 @@ def wiener_gain(
     the recursively smoothed noisy power (same constant as the tracker)."""
     if not 0.0 < gain_floor < 1.0:
         raise ValueError("gain_floor must lie strictly between 0 and 1")
-    noise_psd = noise.psd if isinstance(noise, NoisePsdEstimate) else np.asarray(noise)
+    noise_psd = np.asarray(noise_psd)
     if noise_psd.shape != noisy.shape:
         raise ValueError(
             f"noise PSD shape {noise_psd.shape} does not match "
@@ -129,14 +109,13 @@ def apply_mask(y: ComplexSpectrogram, mask: np.ndarray) -> ComplexSpectrogram:
 def oracle_irm(
     clean: ComplexSpectrogram,
     residual_noise: ComplexSpectrogram,
-    eps_rel: float = 1e-12,
 ) -> np.ndarray:
     """Ideal ratio mask sqrt(|C|^2 / (|C|^2 + |N|^2 + eps)), entries in [0, 1).
 
     ``residual_noise`` is the preprocessed mixture minus the preprocessed
     clean signal, both passed through the identical preprocessor. The small
-    eps is relative to the mean clean power so an all-zero noise estimate
-    still yields a mask below 1.
+    eps is ``IRM_EPS_REL`` times the mean clean power, so an all-zero noise
+    estimate still yields a mask below 1.
     """
     if clean.shape != residual_noise.shape:
         raise ValueError(
@@ -144,5 +123,5 @@ def oracle_irm(
         )
     cp = np.abs(clean.data) ** 2
     np_ = np.abs(residual_noise.data) ** 2
-    eps = eps_rel * max(float(cp.mean()), np.finfo(np.float64).tiny)
+    eps = IRM_EPS_REL * max(float(cp.mean()), np.finfo(np.float64).tiny)
     return np.sqrt(cp / (cp + np_ + eps))

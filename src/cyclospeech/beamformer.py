@@ -118,7 +118,6 @@ def process(
     aug: AugmentedSpectrogram,
     beta_x: float = 0.95,
     diag_load: float = 1e-6,
-    weight_stride: int = 1,
     companion: AugmentedSpectrogram | None = None,
     diagnostics_path=None,
 ):
@@ -127,14 +126,11 @@ def process(
     ``companion`` co-filters a second augmented spectrogram with the weights
     computed from ``aug`` (the filter is linear given its weights), which is
     how a known clean signal is passed through the identical preprocessor.
-    ``weight_stride`` > 1 reuses weights for that many frames (the covariance
-    and its inverse still update every frame). Returns the beamformed
-    spectrogram, or a (main, companion) pair when a companion is given.
+    Returns the beamformed spectrogram, or a (main, companion) pair when a
+    companion is given.
     """
     if not 0.0 < beta_x < 1.0:
         raise ValueError("beta_x must lie strictly between 0 and 1")
-    if weight_stride < 1:
-        raise ValueError("weight_stride must be at least 1")
     if companion is not None and companion.channels.shape != aug.channels.shape:
         raise ValueError("companion must match the main spectrogram's shape")
 
@@ -207,10 +203,8 @@ def process(
                 bad = ~(np.isfinite(d) & (d > 0.0) & np.isfinite(p00) & (p00 > 0.0))
                 if np.any(bad):
                     inv[:, :, bad] = _loaded_inverse(cov[:, :, bad], diag_load)
-            if frame % weight_stride == 0:
-                w = inv[:, 0] / inv[0, 0]
-                w[0] = 1.0  # the distortionless constraint, without rounding
-            w_blk[:, i] = w
+            np.divide(inv[:, 0], inv[0, 0], out=w_blk[:, i])
+            w_blk[0, i] = 1.0  # the distortionless constraint, without rounding
         # y = w^H x for the whole block at once, main and companion alike
         wh_blk = np.conj(w_blk)
         out[:, start:stop] = np.multiply(wh_blk, x_blk, out=prod).sum(axis=0).T

@@ -30,7 +30,8 @@ from .pipeline import PipelineConfig, run_pipeline
 from .metrics import si_sdr, stoi  # noqa: F401
 from .pipeline import enhance_buffer  # noqa: F401
 from .synth import HarmonicNoiseParams, MixSpec, mix_at_snr, synth_harmonic_cs_noise
-from .wavio import read_wav, write_wav
+from .stft import AudioBuffer
+from .wavio import PCM16_MAX, read_wav, write_wav
 
 __all__ = ["SynthSettings", "synth_dataset", "eval_dataset"]
 
@@ -51,6 +52,7 @@ MANIFEST_FIELDS = [
     "amplitude_decay",
     "noise_seed",
     "snr_db",
+    "gain",
 ]
 
 
@@ -77,7 +79,10 @@ def synth_dataset(clean_dir, out_dir, settings: SynthSettings | None = None) -> 
 
     Per file, a fundamental and an SNR are drawn from the configured uniform
     ranges with per-file seeds spawned deterministically from the master
-    seed. Returns the manifest path.
+    seed. For PCM16, a triple whose largest peak would clip is scaled by one
+    common gain so that it fits, which keeps mix = clean + noise and the SNR
+    exact; the manifest's ``gain`` column records it (1 when unscaled, and
+    always for float32). Returns the manifest path.
     """
     settings = settings or SynthSettings()
     clean_dir = Path(clean_dir)
@@ -109,6 +114,15 @@ def synth_dataset(clean_dir, out_dir, settings: SynthSettings | None = None) -> 
             len(clean) / clean.sample_rate, clean.sample_rate, params
         )
         mixture, scaled_noise = mix_at_snr(clean, noise, MixSpec(snr_db=snr_db))
+        triple = (clean, scaled_noise, mixture)
+        gain = 1.0
+        if settings.encoding == "pcm16":
+            peak = max(float(np.abs(b.samples).max()) for b in triple)
+            if peak > PCM16_MAX:
+                gain = PCM16_MAX / peak
+                triple = tuple(
+                    AudioBuffer(gain * b.samples, b.sample_rate) for b in triple
+                )
 
         stem = src.stem
         rel = {
@@ -116,9 +130,8 @@ def synth_dataset(clean_dir, out_dir, settings: SynthSettings | None = None) -> 
             "noise_path": f"noise/{stem}.wav",
             "mix_path": f"mix/{stem}.wav",
         }
-        write_wav(out_dir / rel["clean_path"], clean, settings.encoding)
-        write_wav(out_dir / rel["noise_path"], scaled_noise, settings.encoding)
-        write_wav(out_dir / rel["mix_path"], mixture, settings.encoding)
+        for path, buffer in zip(rel.values(), triple):
+            write_wav(out_dir / path, buffer, settings.encoding)
         rows.append(
             {
                 "file": stem,
@@ -132,6 +145,7 @@ def synth_dataset(clean_dir, out_dir, settings: SynthSettings | None = None) -> 
                 "amplitude_decay": f"{settings.amplitude_decay:.6f}",
                 "noise_seed": noise_seed,
                 "snr_db": f"{snr_db:.6f}",
+                "gain": f"{gain:.6f}",
             }
         )
 
@@ -180,7 +194,6 @@ def eval_dataset(
     configs: list[PipelineConfig],
     out_dir=None,
     workers: int = 1,
-    curve_bin_db: float = 5.0,
 ) -> tuple[list[MetricRecord], list[str]]:
     """Run every config over every manifest row.
 
@@ -197,8 +210,10 @@ def eval_dataset(
     tasks = [(str(dataset_dir), row, config) for row in rows for config in configs]
 
     if workers > 1:
-        # Forked workers inherit the modules loaded here: load scipy.signal,
-        # which estimation and STOI import on first use, once, not per worker.
+        # Forked workers inherit the modules loaded here: load scipy.signal
+        # (estimation, STOI) and scipy.ndimage (the Wiener noise tracker),
+        # which the library imports on first use, once, not per worker.
+        import scipy.ndimage  # noqa: F401
         import scipy.signal  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -215,9 +230,7 @@ def eval_dataset(
     write_records_csv(out_dir / "metrics.csv", records)
     if records:
         write_table_csv(out_dir / "aggregate.csv", aggregate(records))
-        write_table_csv(
-            out_dir / "curves.csv", curve_points(records, bin_width=curve_bin_db)
-        )
+        write_table_csv(out_dir / "curves.csv", curve_points(records))
     with open(out_dir / "skipped.log", "w", encoding="utf-8", newline="\n") as fh:
         for reason in skips:
             fh.write(reason + "\n")

@@ -29,6 +29,11 @@ __all__ = [
 
 SI_SDR_CAP_DB = 100.0
 
+# Input-SNR buckets of the aggregate table (the last includes its upper edge)
+# and the bin width of the metric-vs-SNR curves, in dB.
+SNR_BUCKETS = ((-20.0, -10.0), (-10.0, 0.0))
+CURVE_BIN_DB = 5.0
+
 # STOI constants (10 kHz analysis rate)
 _STOI_FS = 10000
 _STOI_FRAME = 256
@@ -174,11 +179,8 @@ def _bucket_label(lo: float, hi: float, closed: bool) -> str:
     return f"[{lo:g},{hi:g}{']' if closed else ')'}"
 
 
-def aggregate(
-    records: list[MetricRecord],
-    buckets: tuple[tuple[float, float], ...] = ((-20.0, -10.0), (-10.0, 0.0)),
-) -> list[dict]:
-    """Mean metrics per (SNR bucket x preprocessor x mask).
+def aggregate(records: list[MetricRecord]) -> list[dict]:
+    """Mean metrics per (``SNR_BUCKETS`` bucket x preprocessor x mask).
 
     The final bucket includes its upper edge. Records outside every bucket
     land in an "other" row rather than being dropped.
@@ -187,13 +189,13 @@ def aggregate(
         raise ValueError("no records to aggregate")
     groups: dict[tuple[str, str, str], list[MetricRecord]] = {}
     labels = [
-        _bucket_label(lo, hi, closed=(i == len(buckets) - 1))
-        for i, (lo, hi) in enumerate(buckets)
+        _bucket_label(lo, hi, closed=(i == len(SNR_BUCKETS) - 1))
+        for i, (lo, hi) in enumerate(SNR_BUCKETS)
     ]
     for rec in records:
         label = "other"
-        for i, (lo, hi) in enumerate(buckets):
-            last = i == len(buckets) - 1
+        for i, (lo, hi) in enumerate(SNR_BUCKETS):
+            last = i == len(SNR_BUCKETS) - 1
             if lo <= rec.input_snr_db < hi or (last and rec.input_snr_db == hi):
                 label = labels[i]
                 break
@@ -220,13 +222,11 @@ def aggregate(
     return rows
 
 
-def curve_points(records: list[MetricRecord], bin_width: float = 5.0) -> list[dict]:
-    """Metric-vs-SNR curve samples: means over fixed-width SNR bins."""
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+def curve_points(records: list[MetricRecord]) -> list[dict]:
+    """Metric-vs-SNR curve samples: means over SNR bins ``CURVE_BIN_DB`` wide."""
     groups: dict[tuple[str, str, float], list[MetricRecord]] = {}
     for rec in records:
-        center = (math.floor(rec.input_snr_db / bin_width) + 0.5) * bin_width
+        center = (math.floor(rec.input_snr_db / CURVE_BIN_DB) + 0.5) * CURVE_BIN_DB
         groups.setdefault((rec.preproc, rec.mask, center), []).append(rec)
     rows = []
     for (preproc, mask, center) in sorted(groups):

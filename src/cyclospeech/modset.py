@@ -51,6 +51,12 @@ COHERENCE_BIN_FRACTION = 0.10
 # Hard cap on candidates scored per recording; candidates are kept by merged
 # peak-power weight.
 MAX_CANDIDATES = 64
+# Periodogram peaks must stand this far above the median PSD, and this many
+# Welch bins apart.
+PEAK_THRESHOLD_DB = 10.0
+PEAK_MIN_SEPARATION_BINS = 2
+# Shortest recording the estimator accepts.
+MIN_DURATION_SEC = 2.0
 # Relative distance from the refinement spectrum's peak within which points
 # count as tied; far above the chirp-z rounding (about 1e-11 relative).
 SHIFT_TIE_RTOL = 1e-9
@@ -114,40 +120,33 @@ def welch_periodogram(
     return freqs, psd
 
 
-def pick_peaks(
-    freqs: np.ndarray,
-    psd: np.ndarray,
-    max_peaks: int = 20,
-    threshold_db: float = 10.0,
-    min_separation_bins: int = 2,
-) -> PeakList:
-    """Local PSD maxima at least ``threshold_db`` above the median, strongest
-    ``max_peaks`` kept, returned frequency-sorted."""
+def pick_peaks(freqs: np.ndarray, psd: np.ndarray, max_peaks: int = 20) -> PeakList:
+    """Local PSD maxima at least ``PEAK_THRESHOLD_DB`` above the median and
+    ``PEAK_MIN_SEPARATION_BINS`` apart, strongest ``max_peaks`` kept,
+    returned frequency-sorted."""
     if max_peaks < 1:
         raise ValueError("max_peaks must be at least 1")
     freqs = np.asarray(freqs, dtype=np.float64)
     psd = np.asarray(psd, dtype=np.float64)
     resolution = float(freqs[1] - freqs[0])
-    floor = float(np.median(psd)) * 10.0 ** (threshold_db / 10.0)
+    floor = float(np.median(psd)) * 10.0 ** (PEAK_THRESHOLD_DB / 10.0)
     if floor <= 0.0:
         return PeakList(np.empty(0), np.empty(0), resolution)
     from scipy.signal import find_peaks
 
-    idx, _ = find_peaks(psd, height=floor, distance=min_separation_bins)
+    idx, _ = find_peaks(psd, height=floor, distance=PEAK_MIN_SEPARATION_BINS)
     if len(idx) > max_peaks:
         idx = idx[np.argsort(psd[idx])[::-1][:max_peaks]]
         idx = np.sort(idx)
     return PeakList(freqs[idx], psd[idx], resolution)
 
 
-def candidate_modulations(
-    peaks: PeakList, max_candidates: int | None = MAX_CANDIDATES
-) -> list[float]:
+def candidate_modulations(peaks: PeakList) -> list[float]:
     """Positive pairwise peak differences, merged within one grid bin.
 
     Differences closer than the grid resolution are merged to their
     power-weighted mean (weight = geometric mean of the pair powers). When
-    more than ``max_candidates`` survive, the heaviest are kept. Returned
+    more than ``MAX_CANDIDATES`` survive, the heaviest are kept. Returned
     ascending.
     """
     m = len(peaks)
@@ -173,9 +172,9 @@ def candidate_modulations(
             )
             cur_freqs, cur_weights = [delta], [weight]
     merged.append((float(np.average(cur_freqs, weights=cur_weights)), sum(cur_weights)))
-    if max_candidates is not None and len(merged) > max_candidates:
+    if len(merged) > MAX_CANDIDATES:
         merged.sort(key=lambda fw: fw[1], reverse=True)
-        merged = merged[:max_candidates]
+        merged = merged[:MAX_CANDIDATES]
     return sorted(f for f, _ in merged)
 
 
@@ -314,12 +313,10 @@ def estimate_modulation_set_detailed(
     max_shifts: int = 5,
     seg_len: int = 4096,
     overlap: float = 0.5,
-    min_duration_sec: float = 2.0,
-    min_shift_hz: float | None = None,
 ) -> tuple[ModulationSet, list[CoherenceReport]]:
     """Estimate the modulation set and report per-candidate coherence.
 
-    Shifts below ``min_shift_hz`` (default: one STFT bin) are rejected:
+    Shifts below one STFT bin are rejected:
     a copy shifted by less than the analysis resolution still overlaps the
     unshifted content bin-for-bin, so its coherence is trivially high. The
     smallest surviving shift is always kept: it is the fundamental of the
@@ -327,19 +324,18 @@ def estimate_modulation_set_detailed(
     neighbour; the remaining slots are filled by coherence rank.
 
     Raises ``ValueError`` on a NaN or infinite sample, naming its index, and
-    on a recording shorter than ``min_duration_sec`` (2 s by default). On
+    on a recording shorter than ``MIN_DURATION_SEC`` (2 s). On
     any longer input the worst case is the trivial set ``{0}``.
     """
     signal.require_finite()
-    if signal.duration < min_duration_sec:
+    if signal.duration < MIN_DURATION_SEC:
         raise ValueError(
             f"recording of {signal.duration:.2f} s is shorter than the "
-            f"{min_duration_sec:.2f} s required for stable statistics"
+            f"{MIN_DURATION_SEC:.2f} s required for stable statistics"
         )
     if max_shifts < 1:
         raise ValueError("max_shifts must be at least 1")
-    if min_shift_hz is None:
-        min_shift_hz = cfg.sample_rate / cfg.fft_size
+    min_shift_hz = cfg.sample_rate / cfg.fft_size
     freqs, psd = welch_periodogram(signal, seg_len=seg_len, overlap=overlap)
     peaks = pick_peaks(freqs, psd, max_peaks=peak_count)
     resolution = signal.sample_rate / seg_len

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stft import AudioBuffer, ComplexSpectrogram, StftConfig, stft
+from .stft import AudioBuffer, StftConfig, stft
 
 __all__ = ["ModulationSet", "AugmentedSpectrogram", "modulate", "build_augmented"]
 
@@ -38,10 +38,6 @@ class ModulationSet:
     def __len__(self) -> int:
         return len(self.shifts)
 
-    @property
-    def num_channels(self) -> int:
-        return len(self.shifts)
-
     def validate_for_rate(self, sample_rate: int) -> None:
         for s in self.shifts:
             if abs(s) >= sample_rate / 2:
@@ -49,10 +45,6 @@ class ModulationSet:
                     f"shift {s} Hz is not below the Nyquist frequency "
                     f"{sample_rate / 2} Hz"
                 )
-
-    @classmethod
-    def trivial(cls) -> "ModulationSet":
-        return cls((0.0,))
 
 
 # Samples per block of the two-level rotator in ``modulate``.
@@ -108,30 +100,13 @@ class AugmentedSpectrogram:
         self.channels = np.asarray(self.channels, dtype=np.complex128)
         if self.channels.ndim != 3:
             raise ValueError("channels must be 3-D (channels x bins x frames)")
-        if self.channels.shape[0] != self.modset.num_channels:
+        if self.channels.shape[0] != len(self.modset):
             raise ValueError(
                 f"{self.channels.shape[0]} channels do not match "
-                f"{self.modset.num_channels} shifts"
+                f"{len(self.modset)} shifts"
             )
         if self.channels.shape[1] != self.config.fft_size:
             raise ValueError("bin count does not match fft_size")
-
-    @property
-    def num_channels(self) -> int:
-        return self.channels.shape[0]
-
-    @property
-    def num_bins(self) -> int:
-        return self.channels.shape[1]
-
-    @property
-    def num_frames(self) -> int:
-        return self.channels.shape[2]
-
-    def channel(self, c: int) -> ComplexSpectrogram:
-        return ComplexSpectrogram(
-            data=self.channels[c], config=self.config, num_samples=self.num_samples
-        )
 
 
 def build_augmented(
@@ -146,7 +121,7 @@ def build_augmented(
     """
     modset.validate_for_rate(signal.sample_rate)
     k, l = cfg.fft_size, cfg.num_frames(len(signal))
-    stack = np.empty((modset.num_channels, l, k), dtype=np.complex128)
+    stack = np.empty((len(modset), l, k), dtype=np.complex128)
     for slot, alpha in zip(stack, modset.shifts):
         # the zero shift modulates bit-exactly to a complex copy, so channel 0
         # is the plain STFT without numpy casting a real frame matrix to

@@ -9,13 +9,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from . import modset as modset_module
-from .baselines import (
-    apply_mask,
-    identity_preproc,
-    min_stats_noise_psd,
-    oracle_irm,
-    wiener_gain,
-)
+from .baselines import apply_mask, min_stats_noise_psd, oracle_irm, wiener_gain
 from .beamformer import process as cmpdr_process
 from .metrics import MetricRecord, si_sdr, stoi
 from .modset import CoherenceReport
@@ -50,7 +44,6 @@ class PipelineConfig:
     # beamformer
     beta_x: float = 0.95
     diag_load: float = 1e-6
-    weight_stride: int = 1
     # modulation-set estimation
     peak_count: int = 20
     coherence_threshold: float = 0.3
@@ -76,8 +69,8 @@ class PipelineConfig:
             raise ValueError("beta_x must lie strictly between 0 and 1")
         if self.diag_load <= 0:
             raise ValueError("diag_load must be positive")
-        if self.weight_stride < 1 or self.max_shifts < 1 or self.peak_count < 1:
-            raise ValueError("weight_stride, max_shifts and peak_count must be >= 1")
+        if self.max_shifts < 1 or self.peak_count < 1:
+            raise ValueError("max_shifts and peak_count must be >= 1")
         if not 0.0 <= self.coherence_threshold <= 1.0:
             raise ValueError("coherence_threshold must lie in [0, 1]")
         if self.welch_seg < 1:
@@ -197,19 +190,13 @@ def _preprocess(noisy: AudioBuffer, config: PipelineConfig, clean: Optional[Audi
         logger.info("modulation set: %s Hz", [round(s, 3) for s in modset.shifts])
         aug = build_augmented(noisy, modset, cfg)
         if clean is None:
-            y = cmpdr_process(
-                aug,
-                beta_x=config.beta_x,
-                diag_load=config.diag_load,
-                weight_stride=config.weight_stride,
-            )
+            y = cmpdr_process(aug, beta_x=config.beta_x, diag_load=config.diag_load)
             return y, None, modset
         aug_clean = build_augmented(clean, modset, cfg)
         y, y_clean = cmpdr_process(
             aug,
             beta_x=config.beta_x,
             diag_load=config.diag_load,
-            weight_stride=config.weight_stride,
             companion=aug_clean,
         )
         return y, y_clean, modset
@@ -217,16 +204,16 @@ def _preprocess(noisy: AudioBuffer, config: PipelineConfig, clean: Optional[Audi
     x = stft(noisy, cfg)
     x_clean = stft(clean, cfg) if clean is not None else None
     if config.preproc == "id":
-        return identity_preproc(x), x_clean, None
+        return x, x_clean, None
 
-    noise_est = min_stats_noise_psd(
+    noise_psd = min_stats_noise_psd(
         x,
         window_sec=config.ms_window_sec,
         smooth_alpha=config.ms_alpha,
         bias=config.ms_bias,
     )
     gain = wiener_gain(
-        x, noise_est, gain_floor=config.gain_floor, smooth_alpha=config.ms_alpha
+        x, noise_psd, gain_floor=config.gain_floor, smooth_alpha=config.ms_alpha
     )
     y = replace(x, data=gain * x.data)
     y_clean = replace(x_clean, data=gain * x_clean.data) if x_clean is not None else None

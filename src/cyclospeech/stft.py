@@ -10,7 +10,7 @@ synthesis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -81,10 +81,9 @@ def periodic_hann(n: int) -> np.ndarray:
 class StftConfig:
     """Frame geometry and the analysis/synthesis window pair.
 
-    When ``synthesis_window`` is omitted it is derived as the canonical dual
-    of the analysis window, so the pair satisfies constant overlap-add with
-    unit gain by construction. An explicitly supplied pair is validated
-    against COLA_RTOL.
+    The synthesis window is derived as the canonical dual of the analysis
+    window, so the pair satisfies constant overlap-add with unit gain by
+    construction; the pair is still checked against COLA_RTOL.
     """
 
     frame_len: int
@@ -92,7 +91,7 @@ class StftConfig:
     fft_size: int
     window: np.ndarray
     sample_rate: int
-    synthesis_window: np.ndarray | None = None
+    synthesis_window: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if min(self.frame_len, self.hop, self.fft_size) <= 0:
@@ -108,17 +107,10 @@ class StftConfig:
         self.window = np.asarray(self.window, dtype=np.float64)
         if self.window.shape != (self.frame_len,):
             raise ValueError("analysis window length must equal frame_len")
-        if self.synthesis_window is None:
-            dens = self._squared_window_ola()
-            if np.any(dens <= 0.0):
-                raise ValueError("analysis window has dead overlap-add points")
-            self.synthesis_window = self.window / np.tile(
-                dens, self.frame_len // self.hop
-            )
-        else:
-            self.synthesis_window = np.asarray(self.synthesis_window, dtype=np.float64)
-            if self.synthesis_window.shape != (self.frame_len,):
-                raise ValueError("synthesis window length must equal frame_len")
+        dens = self._squared_window_ola()
+        if np.any(dens <= 0.0):
+            raise ValueError("analysis window has dead overlap-add points")
+        self.synthesis_window = self.window / np.tile(dens, self.frame_len // self.hop)
         dev = self.cola_deviation()
         if not dev <= COLA_RTOL:
             raise ValueError(
@@ -148,10 +140,6 @@ class StftConfig:
         return float(self._ola_product().mean())
 
     @property
-    def num_bins(self) -> int:
-        return self.fft_size
-
-    @property
     def pad(self) -> int:
         return self.frame_len - self.hop
 
@@ -159,13 +147,6 @@ class StftConfig:
         if num_samples <= 0:
             raise ValueError("num_samples must be positive")
         return -(-(num_samples + self.pad) // self.hop)
-
-    def bin_frequency(self, k: int) -> float:
-        """Center frequency in Hz of bin k of the two-sided spectrum."""
-        k = k % self.fft_size
-        if k > self.fft_size // 2:
-            k -= self.fft_size
-        return k * self.sample_rate / self.fft_size
 
 
 def default_stft_config(sample_rate: int = 16000) -> StftConfig:
@@ -212,19 +193,12 @@ class ComplexSpectrogram:
                 )
 
     @property
-    def num_bins(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def num_frames(self) -> int:
         return self.data.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
-
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.data) ** 2))
 
 
 def _frame_signal(x: np.ndarray, cfg: StftConfig) -> np.ndarray:

@@ -14,6 +14,8 @@ __all__ = ["read_wav", "write_wav"]
 logger = logging.getLogger(__name__)
 
 _PCM16_SCALE = 32768.0
+# Largest magnitude PCM16 stores without clipping.
+PCM16_MAX = 32767.0 / _PCM16_SCALE
 
 
 def read_wav(path) -> AudioBuffer:
@@ -45,9 +47,8 @@ def write_wav(path, buffer: AudioBuffer, encoding: str = "float32") -> int:
         raise ValueError("refusing to write an empty buffer")
     if np.iscomplexobj(buffer.samples):
         raise ValueError("cannot write complex samples; take the real part first")
+    buffer.require_finite(f"audio for {path}")
     x = buffer.samples
-    if not np.all(np.isfinite(x)):
-        raise ValueError("samples must be finite")
     clipped = int(np.count_nonzero(np.abs(x) > 1.0))
     if clipped:
         logger.warning("%s: %d samples outside [-1, 1]", path, clipped)

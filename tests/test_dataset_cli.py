@@ -56,6 +56,27 @@ def test_synth_dataset_layout_and_determinism(tmp_path):
         noise = read_wav(out_a / row["noise_path"])
         measured = 10 * np.log10(clean.power() / noise.power())
         assert abs(measured - float(row["snr_db"])) <= 1e-3  # float32 storage
+        assert row["gain"] == "1.000000"
+
+
+def test_pcm16_synthesis_scales_each_triple_to_fit(tmp_path):
+    # at -20 dB the noise peaks far above full scale; one common gain per
+    # triple keeps mix = clean + noise up to rounding, and the SNR exact
+    clean_dir = make_clean_dir(tmp_path, count=3, duration=4.0)
+    settings = SynthSettings(seed=1, snr_range=(-20.0, -20.0), encoding="pcm16")
+    manifest = synth_dataset(clean_dir, tmp_path / "ds", settings)
+    rows = list(csv.DictReader(open(manifest, encoding="utf-8")))
+    assert len(rows) == 3
+    for row in rows:
+        clean, noise, mix = (
+            read_wav(tmp_path / "ds" / row[key])
+            for key in ("clean_path", "noise_path", "mix_path")
+        )
+        lsb = np.abs(mix.samples - clean.samples - noise.samples).max() * 32768
+        assert lsb <= 1.5
+        assert 0.0 < float(row["gain"]) < 1.0
+        measured = 10 * np.log10(clean.power() / noise.power())
+        assert abs(measured - float(row["snr_db"])) <= 0.01
 
 
 def test_synth_dataset_empty_source_rejected(tmp_path):
@@ -215,7 +236,6 @@ NON_DEFAULT = {
     "mask": "oracle-irm",
     "beta_x": 0.9,
     "diag_load": 2.5e-5,
-    "weight_stride": 4,
     "peak_count": 12,
     "coherence_threshold": 0.45,
     "max_shifts": 3,

@@ -159,7 +159,7 @@ def test_curve_points_binning():
         make_record("b", -16.0, sdr=3.0),
         make_record("c", -3.0, sdr=8.0),
     ]
-    rows = curve_points(records, bin_width=5.0)
+    rows = curve_points(records)
     assert len(rows) == 2
     assert rows[0]["snr_bin_db"] == -17.5
     assert rows[0]["si_sdr_db"] == 2.0

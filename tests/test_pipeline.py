@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import cyclospeech
@@ -28,6 +30,7 @@ from cyclospeech import (
 )
 
 FS = 16000
+RATES = (8000, 11025, 16000, 22050, 44100, 48000)
 
 
 def test_config_defaults_are_valid():
@@ -126,6 +129,22 @@ def test_cmpdr_trivial_modset_equals_identity_spectrogram(cfg16k, speech_4s):
     assert np.array_equal(ident.enhanced.samples, trivial.enhanced.samples)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    fs=st.sampled_from(RATES),
+    length=st.integers(1, 2 * 48000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trivial_modset_is_the_identity_at_every_rate(fs, length, seed):
+    noisy = AudioBuffer(np.random.default_rng(seed).standard_normal(length), fs)
+    ident = enhance_buffer(noisy, PipelineConfig(sample_rate=fs, preproc="id"))
+    trivial = enhance_buffer(
+        noisy, PipelineConfig(sample_rate=fs, preproc="cmpdr", forced_modset=(0.0,))
+    )
+    assert np.array_equal(ident.preprocessed.data, trivial.preprocessed.data)
+    assert np.array_equal(ident.enhanced.samples, trivial.enhanced.samples)
+
+
 def test_oracle_mask_requires_reference(speech_4s):
     with pytest.raises(ValueError, match="reference"):
         enhance_buffer(speech_4s, PipelineConfig(preproc="id", mask="oracle-irm"))
@@ -219,9 +238,13 @@ def test_run_pipeline_tags_non_finite_input_as_enhance(tmp_path):
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal, and the scipy.stats it pulls in, load on first use only
+    # scipy.signal, the scipy.stats it pulls in, and scipy.ndimage load on
+    # first use only
     src = Path(cyclospeech.__file__).resolve().parents[1]
-    code = "import sys, cyclospeech; print('scipy.signal' in sys.modules)"
+    code = (
+        "import sys, cyclospeech; "
+        "print(any(m in sys.modules for m in ('scipy.signal', 'scipy.ndimage')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(src)),

@@ -43,7 +43,7 @@ def test_default_config_valid_and_round_trips(fs):
     assert cfg.cola_deviation() <= 1e-10
     x = np.random.default_rng(fs).standard_normal(fs // 2 + 17)
     spec = stft(AudioBuffer(x, fs), cfg)
-    assert spec.num_bins == cfg.fft_size
+    assert spec.shape[0] == cfg.fft_size
     out = istft(spec)
     assert len(out) == len(x)
     assert np.abs(out.samples - x).max() <= 1e-12
@@ -152,19 +152,6 @@ def test_geometry_invariants_enforced():
         StftConfig(frame_len=512, hop=128, fft_size=256, window=win, sample_rate=FS)
 
 
-def test_non_cola_pair_rejected():
-    win = np.sqrt(periodic_hann(512))
-    with pytest.raises(ValueError, match="overlap-add"):
-        StftConfig(
-            frame_len=512,
-            hop=128,
-            fft_size=512,
-            window=win,
-            sample_rate=FS,
-            synthesis_window=np.ones(512),
-        )
-
-
 def test_istft_rechecks_cola():
     cfg = default_stft_config(FS)
     spec = stft(AudioBuffer(np.ones(3000), FS), cfg)
@@ -184,6 +171,24 @@ def test_complex_input_supported(cfg16k):
     z = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
     out = istft(stft(AudioBuffer(z, FS), cfg16k)).samples
     assert np.linalg.norm(out - z) / np.linalg.norm(z) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fs=st.sampled_from([8000, 11025, 16000, 22050, 44100, 48000]),
+    length=st.integers(1, 3 * 48000),
+    is_complex=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_roundtrip_at_every_rate_and_length(fs, length, is_complex, seed):
+    cfg = default_stft_config(fs)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(length)
+    if is_complex:
+        x = x + 1j * rng.standard_normal(length)
+    out = istft(stft(AudioBuffer(x, fs), cfg)).samples
+    assert len(out) == length
+    assert np.abs(out - x).max() <= 1e-12 * max(1.0, np.abs(x).max())
 
 
 def _gather_frames(x, cfg):

@@ -70,6 +70,13 @@ def test_nonfinite_rejected(tmp_path):
         write_wav(tmp_path / "nan.wav", AudioBuffer(np.array([0.0, np.nan]), FS))
 
 
+def test_nonfinite_error_names_first_bad_index(tmp_path):
+    x = np.zeros(50)
+    x[[17, 30]] = [-np.inf, np.nan]
+    with pytest.raises(ValueError, match=r"non-finite sample \(-inf\) at index 17"):
+        write_wav(tmp_path / "bad.wav", AudioBuffer(x, FS), "pcm16")
+
+
 def test_complex_rejected(tmp_path):
     with pytest.raises(ValueError, match="complex"):
         write_wav(tmp_path / "c.wav", AudioBuffer(np.array([1j, 0j]), FS))

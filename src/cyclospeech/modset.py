@@ -99,8 +99,11 @@ def welch_periodogram(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Welch PSD with Hann segments; returns (frequencies, psd).
 
-    Grid resolution is sample_rate / seg_len.
+    Grid resolution is sample_rate / seg_len; ``seg_len`` must be at least 2,
+    so the grid has the two points ``pick_peaks`` reads its step from.
     """
+    if seg_len < 2:
+        raise ValueError(f"seg_len must be >= 2, got {seg_len}")
     if len(signal) < seg_len:
         raise ValueError(
             f"signal of {len(signal)} samples is shorter than one segment ({seg_len})"
@@ -178,19 +181,54 @@ def candidate_modulations(peaks: PeakList) -> list[float]:
     return sorted(f for f, _ in merged)
 
 
-def _bin_cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-bin sum over frames of x * conj(y).
+def _frames(x: np.ndarray) -> np.ndarray:
+    """The (frames, 2 * bins) float64 view of a (bins, frames) complex
+    spectrogram's frame-major memory, real and imaginary parts interleaved.
 
-    Bin energies are ``_bin_cross(x, x).real`` rather than ``sum |x|^2``:
-    ``abs`` rounds through ``hypot`` and would disagree with the cross term
-    in the last bit, so sharing one expression makes the cross term of a
-    spectrogram with itself equal its energy exactly.
+    ``stft(...).data`` is the transpose of the C-contiguous FFT output, so for
+    it (and for ``_rows`` gathers) this is a view; other layouts are copied.
     """
-    return np.sum(x * np.conj(y), axis=1)
+    return np.ascontiguousarray(x.T).view(np.float64)
+
+
+def _rows(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Bins ``idx`` of a (bins, frames) spectrogram, gathered frame by frame
+    into frame-major memory."""
+    return np.take(x.T, idx, axis=1).T
+
+
+def _column_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # one contiguous pass over the frames, no temporaries; each column is
+    # accumulated frame by frame, so its sum does not depend on the others
+    return np.einsum("lk,lk->k", a, b)
+
+
+def _real_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    sums = _column_sums(a, b)
+    return sums[0::2] + sums[1::2]  # re*re + im*im, per bin
+
+
+def _bin_cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-bin sum over frames of x * conj(y), for (bins, frames) spectrograms.
+
+    The real part is ``_real_cross``, the expression behind ``_bin_energy``
+    too: ``abs`` rounds through ``hypot`` and would disagree with the cross
+    term in the last bit, so sharing one expression makes the cross term of a
+    spectrogram with itself equal its energy exactly. Its imaginary part is
+    then exactly 0, the difference of two sums of the same products.
+    """
+    a, b = _frames(x), _frames(y)
+    cross = np.empty(a.shape[1] // 2, dtype=np.complex128)
+    cross.real = _real_cross(a, b)
+    cross.imag = _column_sums(a[:, 1::2], b[:, 0::2]) - _column_sums(
+        a[:, 0::2], b[:, 1::2]
+    )
+    return cross
 
 
 def _bin_energy(x: np.ndarray) -> np.ndarray:
-    return _bin_cross(x, x).real
+    frames = _frames(x)
+    return _real_cross(frames, frames)
 
 
 def _top_support_bins(
@@ -217,13 +255,14 @@ def _coherence_between(
     ``_bin_energy(base)``, passed in so a caller scoring many shifts against
     one base computes it once.
 
-    Energies and cross term go through ``_bin_cross``, so when ``shifted`` is
-    ``base`` every per-bin ratio is e / sqrt(e * e), which IEEE arithmetic
-    rounds to exactly 1 barring overflow and underflow. Otherwise the result
-    lies in [0, 1] up to rounding.
+    The cross term is formed on those bins only. Energies and cross term go
+    through ``_bin_cross``, whose per-bin sums do not depend on which other
+    bins are summed alongside, so when ``shifted`` is ``base`` every per-bin
+    ratio is e / sqrt(e * e), which IEEE arithmetic rounds to exactly 1
+    barring overflow and underflow. Otherwise the result lies in [0, 1] up to
+    rounding.
     """
     e_shift = _bin_energy(shifted)
-    cross = np.abs(_bin_cross(base, shifted))
     total = float(np.sum(e_base))
     if total <= 0.0:
         raise ValueError("zero-energy signal has no defined coherence")
@@ -231,8 +270,9 @@ def _coherence_between(
     valid = weights > 0.0
     if not np.any(valid):
         return 0.0
-    per_bin = cross[top][valid] / np.sqrt(weights[valid])
-    return float(np.average(per_bin, weights=weights[valid]))
+    top, weights = top[valid], weights[valid]
+    cross = np.abs(_bin_cross(_rows(base, top), _rows(shifted, top)))
+    return float(np.average(cross / np.sqrt(weights), weights=weights))
 
 
 def spectral_coherence(signal: AudioBuffer, alpha: float, cfg: StftConfig) -> float:
@@ -301,7 +341,8 @@ def _refine_shift(
     per-frame cross products, searched over ``search``'s window."""
     shifted = stft(modulate(signal, alpha), cfg).data
     top, _ = _top_support_bins(e_base, _bin_energy(shifted))
-    products = base[top] * np.conj(shifted[top])  # rotates at (true - alpha) Hz
+    # rotates at (true - alpha) Hz
+    products = _rows(base, top) * np.conj(_rows(shifted, top))
     return alpha + search.best_offset(products)
 
 

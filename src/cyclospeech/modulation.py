@@ -83,12 +83,13 @@ def modulate(signal: AudioBuffer, alpha: float) -> AudioBuffer:
     return AudioBuffer(rotator, fs)
 
 
-@dataclass
+@dataclass(eq=False)
 class AugmentedSpectrogram:
     """C-channel stack of spectrograms of frequency-shifted signal copies.
 
     Channel 0 is the plain STFT of the unmodulated input; channel c is the
-    STFT of the input modulated by ``modset.shifts[c]``.
+    STFT of the input modulated by ``modset.shifts[c]``. Compared by
+    identity, like ``ComplexSpectrogram``.
     """
 
     channels: np.ndarray  # (C, K, L) complex; build_augmented's is frame-major

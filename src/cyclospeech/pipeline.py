@@ -73,8 +73,8 @@ class PipelineConfig:
             raise ValueError("max_shifts and peak_count must be >= 1")
         if not 0.0 <= self.coherence_threshold <= 1.0:
             raise ValueError("coherence_threshold must lie in [0, 1]")
-        if self.welch_seg < 1:
-            raise ValueError("welch_seg must be >= 1")
+        if self.welch_seg < 2:
+            raise ValueError("welch_seg must be >= 2")
         if not 0.0 <= self.welch_overlap < 1.0:
             raise ValueError("welch_overlap must lie in [0, 1)")
         if not self.ms_window_sec > 0.0:
@@ -182,7 +182,7 @@ def _preprocess(noisy: AudioBuffer, config: PipelineConfig, clean: Optional[Audi
 
     When a clean companion is supplied it is passed through the *identical*
     realized filter (same beamformer weights / same Wiener gains), so
-    Y - Y_clean is exactly the filtered noise.
+    Y - Y_clean is exactly the filtered noise. Only the oracle mask reads it.
     """
     cfg = config.stft_config()
     if config.preproc == "cmpdr":
@@ -243,7 +243,8 @@ def enhance_buffer(
     if config.mask == "oracle-irm" and clean is None:
         raise ValueError("the oracle mask requires a clean reference signal")
 
-    y, y_clean, modset = _preprocess(noisy, config, clean)
+    companion = clean if config.mask == "oracle-irm" else None
+    y, y_clean, modset = _preprocess(noisy, config, companion)
     if config.mask == "oracle-irm":
         residual = replace(y, data=y.data - y_clean.data)
         mask = oracle_irm(y_clean, residual)

@@ -77,13 +77,15 @@ def periodic_hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-@dataclass
+@dataclass(eq=False)
 class StftConfig:
     """Frame geometry and the analysis/synthesis window pair.
 
     The synthesis window is derived as the canonical dual of the analysis
     window, so the pair satisfies constant overlap-add with unit gain by
-    construction; the pair is still checked against COLA_RTOL.
+    construction; the pair is still checked against COLA_RTOL. Two configs
+    are equal when their scalar fields and analysis windows are; the derived
+    synthesis window is not compared.
     """
 
     frame_len: int
@@ -117,6 +119,15 @@ class StftConfig:
                 f"window pair violates constant overlap-add "
                 f"(relative deviation {dev:.3e} > {COLA_RTOL:.0e})"
             )
+
+    def __eq__(self, other):
+        if not isinstance(other, StftConfig):
+            return NotImplemented
+        return (
+            (self.frame_len, self.hop, self.fft_size, self.sample_rate)
+            == (other.frame_len, other.hop, other.fft_size, other.sample_rate)
+            and np.array_equal(self.window, other.window)
+        )
 
     def _squared_window_ola(self) -> np.ndarray:
         # hop-periodic sum of the squared analysis window across overlapping
@@ -168,9 +179,11 @@ def default_stft_config(sample_rate: int = 16000) -> StftConfig:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class ComplexSpectrogram:
-    """K x L grid of complex STFT coefficients plus frame geometry."""
+    """K x L grid of complex STFT coefficients plus frame geometry.
+
+    Compared by identity: compare ``data`` with numpy instead."""
 
     data: np.ndarray
     config: StftConfig

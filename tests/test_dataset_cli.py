@@ -138,6 +138,22 @@ def test_eval_dataset_parallel_matches_serial(tmp_path):
     )
 
 
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_identically_seeded_runs_write_identical_csvs(tmp_path, seed):
+    clean_dir = make_clean_dir(tmp_path, count=1, duration=2.5)
+    # too short to estimate on, so every run skips its cmpdr task
+    write_wav(clean_dir / "short.wav", synth_speech_like(1.5, FS, seed=60))
+    configs = [PipelineConfig(preproc="wiener"), PipelineConfig(mask="oracle-irm")]
+    names = ("metrics.csv", "aggregate.csv", "curves.csv", "skipped.log")
+    outputs = []
+    for run in ("one", "two"):
+        synth_dataset(clean_dir, tmp_path / f"ds_{run}", SynthSettings(seed=seed))
+        eval_dataset(tmp_path / f"ds_{run}", configs, out_dir=tmp_path / f"res_{run}")
+        outputs.append([(tmp_path / f"res_{run}" / n).read_bytes() for n in names])
+    assert outputs[0] == outputs[1]
+    assert b"short" in outputs[0][3]
+
+
 def test_cli_synth_enhance_eval_modset(tmp_path, capsys):
     clean_dir = make_clean_dir(tmp_path, count=1, duration=3.0)
     ds = tmp_path / "ds"
@@ -285,25 +301,26 @@ def test_eval_short_clip_scores_id_and_skips_cmpdr_with_stage(tmp_path):
     assert "shorter than" in log_text
 
 
-# One value outside the range its stage enforces, per field.
+# Values outside the range its stage enforces, per field. A one-sample Welch
+# segment gives a one-point grid, which has no step.
 OUT_OF_RANGE = {
-    "sample_rate": 0,
-    "welch_seg": 0,
-    "welch_overlap": 1.5,
-    "ms_window_sec": -1.0,
-    "ms_alpha": 2.0,
-    "ms_bias": 0.5,
+    "sample_rate": (0,),
+    "welch_seg": (0, 1),
+    "welch_overlap": (1.5,),
+    "ms_window_sec": (-1.0,),
+    "ms_alpha": (2.0,),
+    "ms_bias": (0.5,),
 }
 
 
 @pytest.mark.parametrize("name", OUT_OF_RANGE)
 def test_out_of_range_value_refused_by_constructor_and_flag(name, tmp_path, capsys):
-    value = OUT_OF_RANGE[name]
-    with pytest.raises(ValueError, match=name):
-        PipelineConfig(**{name: value})
-    rc = cli_main(["modset", str(tmp_path / "in.wav"), _flag(name), str(value)])
-    assert rc == 2
-    assert name in capsys.readouterr().err
+    for value in OUT_OF_RANGE[name]:
+        with pytest.raises(ValueError, match=name):
+            PipelineConfig(**{name: value})
+        rc = cli_main(["modset", str(tmp_path / "in.wav"), _flag(name), str(value)])
+        assert rc == 2
+        assert name in capsys.readouterr().err
 
 
 def test_modset_output_pastes_back_into_the_flag(tmp_path, capsys):

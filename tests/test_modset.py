@@ -14,7 +14,14 @@ from cyclospeech import (
     synth_harmonic_cs_noise,
     welch_periodogram,
 )
-from cyclospeech.modset import _bin_energy, _refine_shift, _ShiftSearch, _top_support_bins
+from cyclospeech.modset import (
+    _bin_cross,
+    _bin_energy,
+    _refine_shift,
+    _rows,
+    _ShiftSearch,
+    _top_support_bins,
+)
 from cyclospeech.modulation import modulate
 from cyclospeech.stft import stft
 
@@ -130,6 +137,46 @@ def test_self_coherence_exact_and_silence_rejected(cfg16k, seed, duration, log_s
     assert spectral_coherence(AudioBuffer(noise, FS), 0.0, cfg16k) == 1.0
     with pytest.raises(ValueError, match="zero-energy"):
         spectral_coherence(AudioBuffer(np.zeros(n), FS), 0.0, cfg16k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bins=st.integers(1, 80),
+    frames=st.integers(1, 700),
+    decades=st.floats(0.0, 8.0),
+    mix=st.floats(0.0, 1.0),
+    frame_major=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frame_sum_kernels_match_direct_sums(bins, frames, decades, mix, frame_major, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        z = rng.standard_normal((bins, frames)) + 1j * rng.standard_normal((bins, frames))
+        return z * 10.0 ** rng.uniform(-decades, decades, size=(bins, 1))
+
+    x = draw()
+    y = mix * x * np.exp(1j * rng.uniform(0, 2 * np.pi)) + (1.0 - mix) * draw()
+    if frame_major:  # the layout stft writes: (bins, frames) over frame-major memory
+        x, y = np.asfortranarray(x), np.asfortranarray(y)
+
+    def direct(a, b):
+        return np.sum(a * np.conj(b), axis=1)
+
+    e_x, e_y = _bin_energy(x), _bin_energy(y)
+    np.testing.assert_allclose(e_x, direct(x, x).real, rtol=1e-12, atol=0)
+    top, _ = _top_support_bins(e_x, e_y)
+    cross = _bin_cross(_rows(x, top), _rows(y, top))
+    # relative to the Cauchy-Schwarz bound, the scale coherence divides by:
+    # independent spectra can cancel far below it
+    scale = np.sqrt(e_x[top] * e_y[top])
+    assert np.all(np.abs(cross - direct(x[top], y[top])) <= 1e-12 * scale)
+
+    self_cross = _bin_cross(x, x)
+    assert np.all(self_cross.imag == 0.0)
+    assert np.array_equal(self_cross.real, e_x)
+    # a bin's sum does not depend on the bins gathered with it
+    assert np.array_equal(_bin_cross(_rows(x, top), _rows(x, top)).real, e_x[top])
 
 
 def test_white_noise_coherence_low(cfg16k, white_10s):

@@ -145,6 +145,25 @@ def test_trivial_modset_is_the_identity_at_every_rate(fs, length, seed):
     assert np.array_equal(ident.enhanced.samples, trivial.enhanced.samples)
 
 
+def test_unmasked_run_builds_no_clean_companion(speech_4s, monkeypatch):
+    noisy = AudioBuffer(
+        speech_4s.samples + np.random.default_rng(9).standard_normal(len(speech_4s)),
+        FS,
+    )
+    config = PipelineConfig(forced_modset=(0.0, 100.0, 200.0))
+    builds = []
+    real_build = cyclospeech.pipeline.build_augmented
+    monkeypatch.setattr(
+        cyclospeech.pipeline,
+        "build_augmented",
+        lambda *args: builds.append(args) or real_build(*args),
+    )
+    with_clean = enhance_buffer(noisy, config, clean=speech_4s)
+    assert len(builds) == 1
+    without = enhance_buffer(noisy, config)
+    assert np.array_equal(with_clean.enhanced.samples, without.enhanced.samples)
+
+
 def test_oracle_mask_requires_reference(speech_4s):
     with pytest.raises(ValueError, match="reference"):
         enhance_buffer(speech_4s, PipelineConfig(preproc="id", mask="oracle-irm"))

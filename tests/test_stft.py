@@ -152,6 +152,18 @@ def test_geometry_invariants_enforced():
         StftConfig(frame_len=512, hop=128, fft_size=256, window=win, sample_rate=FS)
 
 
+def test_configs_compare_by_value_and_spectrograms_by_identity():
+    cfg = default_stft_config(FS)
+    assert cfg == default_stft_config(FS)
+    assert cfg != default_stft_config(8000)
+    other_window = default_stft_config(FS)
+    other_window.window = periodic_hann(512)
+    assert cfg != other_window
+    spec = stft(AudioBuffer(np.ones(3000), FS), cfg)
+    assert spec == spec
+    assert spec != stft(AudioBuffer(np.ones(3000), FS), cfg)
+
+
 def test_istft_rechecks_cola():
     cfg = default_stft_config(FS)
     spec = stft(AudioBuffer(np.ones(3000), FS), cfg)

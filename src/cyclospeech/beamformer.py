@@ -1,32 +1,46 @@
-"""Cyclic MPDR spectral beamformer.
+"""Cyclic MPDR spectral beamformer, run as a generalized sidelobe canceller.
 
-Per frequency bin, a C x C spectral covariance of the augmented
-(frequency-shifted) observation vector is tracked by recursive averaging,
+Per frequency bin, the C x C spectral covariance of the augmented
+(frequency-shifted) observation vector x = [x0; xr] follows the recursive
+average
 
     S <- beta_x * S + (1 - beta_x) * x x^H,
 
-and the minimum-power weights with unit gain on the unshifted channel are
+and the minimum-power weights with unit gain on the unshifted channel x0 are
+w = [1; -z] with
 
-    w = S^-1 e1 / (e1^H S^-1 e1),      y = w^H x.
+    z = (S_rr + lambda I)^-1 s_r0,      y = w^H x = x0 - z^H xr,
 
-The inverse P = S^-1 is tracked alongside S with the exponentially weighted
-RLS form of the matrix-inversion lemma (Haykin, *Adaptive Filter Theory*),
+where S_rr is the block of the C - 1 shifted channels, s_r0 their cross
+covariance with x0 and lambda a trace-relative diagonal loading. This is the
+generalized sidelobe canceller (Griffiths & Jim, 1982) with the shifted
+copies as its blocking branch, i.e. Gardner's FRESH filter: they cancel the
+harmonic noise in x0.
 
-    u = P x,   d = 1 + g x^H u,   P <- (P - (g / d) u u^H) / beta_x,
+Every ``_REANCHOR_FRAMES`` frames (the anchors) S is formed, lambda is set to
+diag_load * tr(S) / C, and P_r = (S_rr + lambda I)^-1 and z are re-solved;
+between anchors both follow the exponentially weighted RLS recursion over the
+C - 1 shifted channels (Haykin, *Adaptive Filter Theory*), with
+g = (1 - beta_x) / beta_x:
 
-with g = (1 - beta_x) / beta_x, so each frame costs O(C^2) per bin instead
-of a C x C solve. Every ``_REANCHOR_FRAMES`` frames, and at once in any bin
-whose d or e1^H P e1 is not positive and finite, P is re-anchored by a
-linear solve of (S + lambda I) P = I with trace-relative diagonal loading
-lambda; a bin whose solve fails falls back to P = I, i.e. w = e1. Between
-anchors the loading decays by beta_x per frame, because the recursion
-carries it along with S.
+    u = P_r xr,  d = 1 + g xr^H u,  e = x0 - z^H xr,  k = (g / d) u,
+    z <- z + k e*,  P_r <- (P_r - k u^H) / beta_x,  y = x0 - z^H xr = e / d.
+
+This is the loaded solve in exact arithmetic, with the loading decaying by
+beta_x per frame, at O((C-1)^2) per bin and frame; no C x C covariance or
+inverse is updated per frame. S is formed only where it is read, each time
+from the frames since the last anchor in one block product: at anchors, for
+the sidecar's final covariance, and in a bin whose update fails, which is
+re-anchored at that frame. An update fails where e is not finite or d is not
+positive and below 1/eps (beyond that, the update cancels every digit of P_r
+along xr). A bin whose solve is not finite falls back to z = 0, P_r = I,
+i.e. w = e1.
 
 Diagnostic sidecar layout (binary, little-endian):
     bytes 0..7    magic b"CYCBFDG1"
     3 x uint32    K (bins), C (channels), L (frames)
     complex64     final covariance, K*C*C values, row-major (K, C, C)
-    complex64     weight trajectories, K*L*C values, row-major (K, L, C)
+    complex64     weight trajectories [1, -z], K*L*C values, row-major (K, L, C)
 """
 
 from __future__ import annotations
@@ -52,49 +66,44 @@ _ABS_LOAD_FLOOR = 1e-30
 # rounding drift of the rank-1 updates and restore the loading.
 _REANCHOR_FRAMES = 32
 
-# Frames per block: the outputs y = w^H x of a block of frames are formed at
-# once.
+# Frames per block: the frames of a block are gathered into fixed-layout
+# buffers and their outputs written out at once.
 _BLOCK_FRAMES = 64
 
 
 def _loaded_solve(
-    cov: np.ndarray, diag_load: float, rhs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve (S + lambda I) X = rhs for a (K, C, C) covariance batch.
+    cov: np.ndarray, diag_load: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve (S_rr + lambda I) [z, P_r] = [s_r0, I] for a bins-innermost
+    (C, C, K) covariance stack.
 
-    ``rhs`` is (C, M) with e1 as its first column; lambda is ``diag_load``
-    times the mean diagonal, floored at _ABS_LOAD_FLOOR. Returns
-    (X (K, C, M), fallback mask (K,)); fallback bins get X = rhs.
+    lambda is ``diag_load`` times the mean diagonal of S, floored at
+    _ABS_LOAD_FLOOR. The loaded matrix is Hermitian positive definite, so
+    Gauss-Jordan elimination needs no pivoting; it runs over all K bins at
+    once. Returns (z (C-1, K), P_r (C-1, C-1, K), fallback mask (K,));
+    fallback bins, whose solve is not finite, get z = 0 and P_r = I.
     """
-    k, c, _ = cov.shape
-    trace = np.einsum("kcc->k", cov).real
-    lam = np.maximum(diag_load * trace / c, _ABS_LOAD_FLOOR)
-    loaded = cov + lam[:, None, None] * np.eye(c)
-    fallback = np.zeros(k, dtype=bool)
-    try:
-        a = np.linalg.solve(loaded, np.broadcast_to(rhs, (k,) + rhs.shape))
-    except np.linalg.LinAlgError:
-        a = np.empty((k,) + rhs.shape, dtype=np.complex128)
-        for i in range(k):
-            try:
-                a[i] = np.linalg.solve(loaded[i], rhs)
-            except np.linalg.LinAlgError:
-                a[i] = rhs
-                fallback[i] = True
-    bad = ~np.isfinite(a).all(axis=(1, 2)) | (np.abs(a[:, 0, 0]) < _ABS_LOAD_FLOOR)
-    if np.any(bad):
-        fallback |= bad
-        a[fallback] = rhs
-    return a, fallback
-
-
-def _loaded_inverse(cov: np.ndarray, diag_load: float) -> np.ndarray:
-    """Loaded inverses of a bins-innermost (C, C, K) stack; fallback bins get I."""
-    c = cov.shape[0]
-    inv, _ = _loaded_solve(
-        cov.transpose(2, 0, 1), diag_load, np.eye(c, dtype=np.complex128)
-    )
-    return inv.transpose(1, 2, 0)
+    c, _, k = cov.shape
+    r = c - 1
+    diag = np.arange(r)
+    lam = np.maximum(diag_load * np.einsum("cck->k", cov).real / c, _ABS_LOAD_FLOOR)
+    # [S_rr + lambda I | s_r0 | I], reduced in place to [I | z | P_r]
+    a = np.zeros((r, 2 * r + 1, k), dtype=np.complex128)
+    a[:, :r] = cov[1:, 1:]
+    a[diag, diag] += lam
+    a[:, r] = cov[1:, 0]
+    a[diag, r + 1 + diag] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(r):
+            a[j, j + 1 :] /= a[j, j]
+            factor = a[:, j].copy()
+            factor[j] = 0.0
+            a[:, j + 1 :] -= factor[:, None] * a[j, j + 1 :]
+    z, inv = a[:, r], a[:, r + 1 :]
+    fallback = ~np.isfinite(a[:, r:]).all(axis=(0, 1))
+    z[:, fallback] = 0.0
+    inv[:, :, fallback] = np.eye(r)[:, :, None]
+    return z, inv, fallback
 
 
 def solve_weights(
@@ -109,9 +118,21 @@ def solve_weights(
     cov = np.asarray(cov, dtype=np.complex128)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError("covariance must be a square matrix")
-    e1 = np.eye(cov.shape[0], 1, dtype=np.complex128)
-    a, fb = _loaded_solve(cov[None, :, :], diag_load, e1)
-    return a[0, :, 0] / a[0, 0, 0], bool(fb[0])
+    z, _, fb = _loaded_solve(cov[:, :, None], diag_load)
+    return np.concatenate([[1.0 + 0j], -z[:, 0]]), bool(fb[0])
+
+
+def _covariance(cov: np.ndarray, x: np.ndarray, beta_x: float) -> np.ndarray:
+    """S (C, C, K') after the frames ``x`` (C, n, K'), given S = ``cov`` before
+    them, as one block product over the frames."""
+    x = np.ascontiguousarray(x)  # a fixed layout fixes the order of the sums
+    c, n, _ = x.shape
+    weights = ((1.0 - beta_x) * beta_x ** np.arange(n - 1, -1, -1.0))[:, None]
+    s = beta_x**n * cov
+    for a in range(c):
+        s[a:, a] += (x[a:] * (np.conj(x[a]) * weights)).sum(axis=1)
+        s[a, a + 1 :] = np.conj(s[a + 1 :, a])
+    return s
 
 
 def process(
@@ -121,7 +142,7 @@ def process(
     companion: AugmentedSpectrogram | None = None,
     diagnostics_path=None,
 ):
-    """Run the per-bin covariance recursion and beamform every frame.
+    """Run the per-bin recursion and beamform every frame.
 
     ``companion`` co-filters a second augmented spectrogram with the weights
     computed from ``aug`` (the filter is linear given its weights), which is
@@ -159,65 +180,78 @@ def process(
     frames = chans.transpose(0, 2, 1)
     frames_comp = companion.channels.transpose(0, 2, 1) if companion is not None else None
 
-    # S and P are (C, C, K), bins innermost, so each per-frame step is a few
-    # whole-array operations over contiguous runs of K values. S is
-    # warm-started at a small multiple of the early per-bin input power.
+    # S is kept at the last anchor only, warm-started at frame -1 at a small
+    # multiple of the early per-bin input power. S, P_r and z^* are bins
+    # innermost, so each per-frame step is a few whole-array operations over
+    # contiguous runs of K values. P_r is held as Q = beta_x^m P_r, m frames
+    # after its anchor, which folds the per-frame 1 / beta_x into scalars.
+    r = c - 1
     warm = min(10, l)
     cov = np.zeros((c, c, k), dtype=np.complex128)
     cov[np.arange(c), np.arange(c)] = 1e-3 * np.mean(
         np.abs(np.ascontiguousarray(frames[0, :warm])) ** 2, axis=0
     )
-    inv = np.empty_like(cov)
-    outer = np.empty_like(cov)
+    anchor = -1
     g = (1.0 - beta_x) / beta_x
+    tmp = np.empty((r, r, k), dtype=np.complex128)
 
     out = np.empty((k, l), dtype=np.complex128)
     out_comp = np.empty((k, l), dtype=np.complex128) if companion is not None else None
     weights_log = (
         np.empty((k, l, c), dtype=np.complex64) if diagnostics_path is not None else None
     )
-    w_buf = np.empty((c, _BLOCK_FRAMES, k), dtype=np.complex128)
-    prod_buf = np.empty_like(w_buf)
+    x_buf = np.empty((c, _BLOCK_FRAMES, k), dtype=np.complex128)
+    zc_buf = np.empty((r, _BLOCK_FRAMES, k), dtype=np.complex128)
+    max_d = 1.0 / np.finfo(np.float64).eps
     for start in range(0, l, _BLOCK_FRAMES):
         stop = min(start + _BLOCK_FRAMES, l)
-        x_blk = frames[:, start:stop]  # (C, B, K)
-        w_blk, prod = w_buf[:, : stop - start], prod_buf[:, : stop - start]
+        n = stop - start
+        x_blk = x_buf[:, :n]
+        x_blk[...] = frames[:, start:stop]
         for i, frame in enumerate(range(start, stop)):
-            x = x_blk[:, i]  # (C, K)
-            xh = np.conj(x)
-            np.multiply(((1.0 - beta_x) * x)[:, None, :], xh[None, :, :], out=outer)
-            cov *= beta_x
-            cov += outer
+            x0, xr = x_blk[0, i], x_blk[1:, i]
             if frame % _REANCHOR_FRAMES == 0:
-                inv[...] = _loaded_inverse(cov, diag_load)
+                cov = _covariance(cov, frames[:, anchor + 1 : frame + 1], beta_x)
+                anchor = frame
+                z, p, _ = _loaded_solve(cov, diag_load)
+                zc, q_inv = np.conj(z), p.copy()  # zc = z^*: e = x0 - sum(zc xr)
             else:
-                np.multiply(inv, x[None, :, :], out=outer)
-                u = outer.sum(axis=1)
-                d = 1.0 + g * np.sum(xh * u, axis=0).real
-                np.multiply(
-                    u[:, None, :], ((g / (beta_x * d)) * np.conj(u))[None, :, :], out=outer
-                )
-                inv *= 1.0 / beta_x
-                inv -= outer
-                p00 = inv[0, 0].real
-                bad = ~(np.isfinite(d) & (d > 0.0) & np.isfinite(p00) & (p00 > 0.0))
-                if np.any(bad):
-                    inv[:, :, bad] = _loaded_inverse(cov[:, :, bad], diag_load)
-            np.divide(inv[:, 0], inv[0, 0], out=w_blk[:, i])
-            w_blk[0, i] = 1.0  # the distortionless constraint, without rounding
-        # y = w^H x for the whole block at once, main and companion alike
-        wh_blk = np.conj(w_blk)
-        out[:, start:stop] = np.multiply(wh_blk, x_blk, out=prod).sum(axis=0).T
+                # m updates after the anchor, Q = beta_x^m P_r, so u = s q
+                # with q = Q xr and s = beta_x^-m, k^* = (g s / d) q^*, and
+                # the update of P_r is Q <- Q - q k^H
+                gs = g * beta_x ** (anchor - frame + 1)
+                np.multiply(q_inv, xr, out=tmp)
+                q = tmp.sum(axis=1)
+                qc = np.conj(q)
+                d = 1.0 + gs * (xr * qc).sum(axis=0).real
+                e = x0 - (zc * xr).sum(axis=0)
+                gain_c = (gs / d) * qc
+                zc += gain_c * e
+                np.multiply(q[:, None], gain_c[None], out=tmp)
+                q_inv -= tmp
+                ok = (d > 0.0) & (d < max_d) & np.isfinite(e)
+                if not ok.all():
+                    bad = ~ok
+                    since = frames[:, anchor + 1 : frame + 1, bad]
+                    s = _covariance(cov[:, :, bad], since, beta_x)
+                    z, p, _ = _loaded_solve(s, diag_load)
+                    zc[:, bad] = np.conj(z)
+                    q_inv[:, :, bad] = beta_x ** (frame - anchor) * p
+            zc_buf[:, i] = zc
+        # y = w^H x = x0 - z^H xr for the whole block at once (equal to e / d
+        # in exact arithmetic), main and companion alike
+        zc_blk = zc_buf[:, :n]
+        out[:, start:stop] = (x_blk[0] - (zc_blk * x_blk[1:]).sum(axis=0)).T
         if companion is not None:
             xc_blk = frames_comp[:, start:stop]
-            out_comp[:, start:stop] = np.multiply(wh_blk, xc_blk, out=prod).sum(axis=0).T
+            out_comp[:, start:stop] = (xc_blk[0] - (zc_blk * xc_blk[1:]).sum(axis=0)).T
         if weights_log is not None:
-            weights_log[:, start:stop, :] = w_blk.transpose(2, 1, 0)
+            weights_log[:, start:stop, 0] = 1.0
+            weights_log[:, start:stop, 1:] = -np.conj(zc_blk.transpose(2, 1, 0))
 
     if diagnostics_path is not None:
-        _write_diagnostics(
-            diagnostics_path, cov.transpose(2, 0, 1).astype(np.complex64), weights_log
-        )
+        final_cov = _covariance(cov, frames[:, anchor + 1 :], beta_x).transpose(2, 0, 1)
+        _write_diagnostics(diagnostics_path, final_cov.astype(np.complex64), weights_log)
 
     main = ComplexSpectrogram(data=out, config=aug.config, num_samples=aug.num_samples)
     if companion is None:

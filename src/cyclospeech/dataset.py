@@ -211,8 +211,10 @@ def eval_dataset(
 
     if workers > 1:
         # Forked workers inherit the modules loaded here: load scipy.signal
-        # (estimation, STOI) and scipy.ndimage (the Wiener noise tracker),
-        # which the library imports on first use, once, not per worker.
+        # (estimation, STOI), scipy.ndimage (the Wiener noise tracker) and
+        # scipy.io.wavfile (WAV I/O), which the library imports on first use,
+        # once, not per worker.
+        import scipy.io.wavfile  # noqa: F401
         import scipy.ndimage  # noqa: F401
         import scipy.signal  # noqa: F401
 

@@ -240,9 +240,14 @@ def stft(signal: AudioBuffer, cfg: StftConfig) -> ComplexSpectrogram:
             f"signal sample rate {signal.sample_rate} does not match "
             f"config sample rate {cfg.sample_rate}"
         )
-    frames = _frame_signal(signal.samples, cfg) * cfg.window
-    data = np.fft.fft(frames, n=cfg.fft_size, axis=1).T
-    return ComplexSpectrogram(data=data, config=cfg, num_samples=len(signal))
+    frames = _frame_signal(signal.samples, cfg)
+    # window into one (L, fft_size) buffer with a zero tail and transform it
+    # in place: a single allocation for the whole spectrogram
+    buf = np.empty((frames.shape[0], cfg.fft_size), dtype=np.complex128)
+    np.multiply(frames, cfg.window, out=buf[:, : cfg.frame_len])
+    buf[:, cfg.frame_len :] = 0.0
+    np.fft.fft(buf, axis=1, out=buf)
+    return ComplexSpectrogram(data=buf.T, config=cfg, num_samples=len(signal))
 
 
 def istft(spec: ComplexSpectrogram) -> AudioBuffer:

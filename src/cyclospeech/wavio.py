@@ -5,7 +5,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.io import wavfile
 
 from .stft import AudioBuffer
 
@@ -20,6 +19,8 @@ PCM16_MAX = 32767.0 / _PCM16_SCALE
 
 def read_wav(path) -> AudioBuffer:
     """Read a mono PCM16 or float32 WAV into [-1, 1]-normalized float samples."""
+    from scipy.io import wavfile
+
     rate, data = wavfile.read(path)
     if data.ndim != 1:
         raise ValueError(
@@ -48,6 +49,8 @@ def write_wav(path, buffer: AudioBuffer, encoding: str = "float32") -> int:
     if np.iscomplexobj(buffer.samples):
         raise ValueError("cannot write complex samples; take the real part first")
     buffer.require_finite(f"audio for {path}")
+    from scipy.io import wavfile
+
     x = buffer.samples
     clipped = int(np.count_nonzero(np.abs(x) > 1.0))
     if clipped:

@@ -235,18 +235,27 @@ def covariance_trajectory(chans, beta_x=0.95):
         yield x, cov
 
 
-def loaded_solve_reference(chans, beta_x=0.95, diag_load=1e-6):
-    """The frame loop before inverse tracking: a loaded solve on every frame."""
+def anchored_solve_reference(chans, companion=None, beta_x=0.95, diag_load=1e-6):
+    """The documented weights by a direct solve on every frame: at each anchor
+    the loading is lambda_a = diag_load * tr(S) / C, and it decays by beta_x
+    per frame until the next, so frame t solves (S_t + lambda_a beta_x^(t-a) I)
+    w = mu e1. Returns the outputs (K, L) for ``chans`` and ``companion``."""
     c, k, l = chans.shape
     out = np.empty((k, l), dtype=complex)
+    out_comp = np.empty((k, l), dtype=complex)
     e1 = np.zeros((k, c, 1), dtype=complex)
     e1[:, 0] = 1.0
     for frame, (x, cov) in enumerate(covariance_trajectory(chans, beta_x)):
-        lam = np.maximum(diag_load * np.einsum("kcc->k", cov).real / c, 1e-30)
+        if frame % beamformer._REANCHOR_FRAMES == 0:
+            anchor = frame
+            lam_a = np.maximum(diag_load * np.einsum("kcc->k", cov).real / c, 1e-30)
+        lam = lam_a * beta_x ** (frame - anchor)
         a = np.linalg.solve(cov + lam[:, None, None] * np.eye(c), e1)[:, :, 0]
         w = a / a[:, :1]
         out[:, frame] = np.sum(np.conj(w) * x, axis=1)
-    return out
+        if companion is not None:
+            out_comp[:, frame] = np.sum(np.conj(w) * companion[:, :, frame].T, axis=1)
+    return out, out_comp
 
 
 def assert_power_bound(chans, weights):
@@ -323,8 +332,21 @@ def test_anchor_every_frame_matches_loaded_solve(chans):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(beamformer, "_REANCHOR_FRAMES", 1)
         out = cmpdr_process(stack(chans)).data
-    ref = loaded_solve_reference(chans)
+        ref, _ = anchored_solve_reference(chans)  # a fresh loading every frame
     assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(chans=random_stacks, seed=st.integers(0, 2**32 - 1))
+def test_default_anchoring_matches_direct_solve(chans, seed):
+    rng = np.random.default_rng(seed)
+    comp = rng.standard_normal(chans.shape) + 1j * rng.standard_normal(chans.shape)
+    ref, ref_comp = anchored_solve_reference(chans, comp)
+    out = cmpdr_process(stack(chans)).data
+    assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+    out, out_comp = cmpdr_process(stack(chans), companion=stack(comp))
+    assert np.linalg.norm(out.data - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert np.linalg.norm(out_comp.data - ref_comp) <= 1e-10 * np.linalg.norm(ref_comp)
 
 
 @settings(max_examples=25, deadline=None)

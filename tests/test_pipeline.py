@@ -257,12 +257,12 @@ def test_run_pipeline_tags_non_finite_input_as_enhance(tmp_path):
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal, the scipy.stats it pulls in, and scipy.ndimage load on
-    # first use only
+    # scipy.signal, the scipy.stats it pulls in, scipy.ndimage and scipy.io
+    # load on first use only
     src = Path(cyclospeech.__file__).resolve().parents[1]
     code = (
         "import sys, cyclospeech; "
-        "print(any(m in sys.modules for m in ('scipy.signal', 'scipy.ndimage')))"
+        "print(any(m in sys.modules for m in ('scipy.signal', 'scipy.ndimage', 'scipy.io')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],

@@ -4,17 +4,19 @@ learned second stage."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .stft import ComplexSpectrogram
+from .stft import AudioBuffer, ComplexSpectrogram, StftConfig
 
 __all__ = [
+    "MinStatsState",
     "min_stats_noise_psd",
     "wiener_gain",
     "apply_mask",
     "oracle_irm",
+    "oracle_eps",
 ]
 
 DEFAULT_GAIN_FLOOR = 10.0 ** (-25.0 / 20.0)
@@ -23,12 +25,18 @@ DEFAULT_GAIN_FLOOR = 10.0 ** (-25.0 / 20.0)
 IRM_EPS_REL = 1e-12
 
 
-def _smoothed_power(data: np.ndarray, smooth_alpha: float) -> np.ndarray:
+def _smoothed_power(
+    data: np.ndarray, smooth_alpha: float, seed: np.ndarray | None = None
+) -> np.ndarray:
     """First-order recursive smoothing of |x|^2 along frames, seeded with the
-    first frame."""
+    first frame, or continuing from ``seed``, the smoothed power of the frame
+    before ``data``."""
     power = np.abs(data) ** 2
     smoothed = np.empty_like(power)
-    smoothed[:, 0] = power[:, 0]
+    if seed is None:
+        smoothed[:, 0] = power[:, 0]
+    else:
+        smoothed[:, 0] = smooth_alpha * seed + (1.0 - smooth_alpha) * power[:, 0]
     for l in range(1, power.shape[1]):
         smoothed[:, l] = (
             smooth_alpha * smoothed[:, l - 1] + (1.0 - smooth_alpha) * power[:, l]
@@ -36,17 +44,36 @@ def _smoothed_power(data: np.ndarray, smooth_alpha: float) -> np.ndarray:
     return smoothed
 
 
+@dataclass
+class MinStatsState:
+    """The smoothed noisy power the minimum-statistics Wiener filter carries
+    from one block of frames of a recording to the next.
+
+    ``min_stats_noise_psd(block, state=state)`` advances it over a block, and
+    ``wiener_gain(block, ..., state=state)`` then reads the seed that block
+    started from. Over consecutive blocks, in order, the two give the whole
+    recording's values bit for bit.
+    """
+
+    num_frames: int  # frames of the whole recording
+    tail: np.ndarray | None = None  # trailing smoothed frames the minimum reads
+    seed: np.ndarray | None = None  # smoothed power before the current block
+
+
 def min_stats_noise_psd(
     noisy: ComplexSpectrogram,
     window_sec: float = 1.5,
     smooth_alpha: float = 0.85,
     bias: float = 1.5,
+    state: MinStatsState | None = None,
 ) -> np.ndarray:
     """Minimum-statistics noise tracker; returns the (K, L) noise PSD.
 
     The smoothed noisy periodogram is tracked per bin and the noise PSD is
     the bias-compensated sliding minimum over a trailing window; the window
-    should be long enough to bridge speech activity between pauses.
+    should be long enough to bridge speech activity between pauses. With
+    ``state``, ``noisy`` is the next block of frames of a recording of
+    ``state.num_frames`` frames.
     """
     if not 0.0 < smooth_alpha < 1.0:
         raise ValueError("smooth_alpha must lie strictly between 0 and 1")
@@ -54,21 +81,31 @@ def min_stats_noise_psd(
         raise ValueError("bias must be at least 1")
     hop_sec = noisy.config.hop / noisy.config.sample_rate
     win_frames = int(round(window_sec / hop_sec))
-    if win_frames < 1 or noisy.num_frames < win_frames:
+    total = noisy.num_frames if state is None else state.num_frames
+    if win_frames < 1 or total < win_frames:
         raise ValueError(
-            f"recording of {noisy.num_frames} frames is shorter than the "
+            f"recording of {total} frames is shorter than the "
             f"{window_sec} s minimum-tracking window ({win_frames} frames)"
         )
     from scipy.ndimage import minimum_filter1d
 
-    smoothed = _smoothed_power(noisy.data, smooth_alpha)
+    tail = None if state is None else state.tail
+    seed = None if tail is None else tail[:, -1]
+    smoothed = _smoothed_power(noisy.data, smooth_alpha, seed)
+    if tail is not None:
+        smoothed = np.concatenate([tail, smoothed], axis=1)
     # trailing minimum: nearest-edge padding only ever repeats the first
     # frame, which is already inside every early window
     floor = minimum_filter1d(
         smoothed, size=win_frames, axis=1, mode="nearest",
         origin=(win_frames - 1) // 2,
     )
-    return bias * floor
+    if state is not None:
+        # the next block's minimum reads up to win_frames - 1 frames back,
+        # and its recursion continues from the last one
+        state.seed = seed
+        state.tail = smoothed[:, -max(win_frames - 1, 1) :].copy()
+    return bias * floor[:, floor.shape[1] - noisy.num_frames :]
 
 
 def wiener_gain(
@@ -76,9 +113,11 @@ def wiener_gain(
     noise_psd: np.ndarray,
     gain_floor: float = DEFAULT_GAIN_FLOOR,
     smooth_alpha: float = 0.85,
+    state: MinStatsState | None = None,
 ) -> np.ndarray:
     """Spectral-subtraction style Wiener gain G = max(1 - N/P, floor), with P
-    the recursively smoothed noisy power (same constant as the tracker)."""
+    the recursively smoothed noisy power (same constant as the tracker). With
+    ``state``, the block ``min_stats_noise_psd`` advanced it over last."""
     if not 0.0 < gain_floor < 1.0:
         raise ValueError("gain_floor must lie strictly between 0 and 1")
     noise_psd = np.asarray(noise_psd)
@@ -87,7 +126,9 @@ def wiener_gain(
             f"noise PSD shape {noise_psd.shape} does not match "
             f"spectrogram shape {noisy.shape}"
         )
-    smoothed = _smoothed_power(noisy.data, smooth_alpha)
+    smoothed = _smoothed_power(
+        noisy.data, smooth_alpha, None if state is None else state.seed
+    )
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = 1.0 - noise_psd / smoothed
     gain[~np.isfinite(gain)] = 0.0
@@ -109,13 +150,14 @@ def apply_mask(y: ComplexSpectrogram, mask: np.ndarray) -> ComplexSpectrogram:
 def oracle_irm(
     clean: ComplexSpectrogram,
     residual_noise: ComplexSpectrogram,
+    eps: float | None = None,
 ) -> np.ndarray:
     """Ideal ratio mask sqrt(|C|^2 / (|C|^2 + |N|^2 + eps)), entries in [0, 1).
 
     ``residual_noise`` is the preprocessed mixture minus the preprocessed
     clean signal, both passed through the identical preprocessor. The small
-    eps is ``IRM_EPS_REL`` times the mean clean power, so an all-zero noise
-    estimate still yields a mask below 1.
+    eps (by default ``IRM_EPS_REL`` times the mean clean power, see
+    ``oracle_eps``) keeps an all-zero noise estimate's mask below 1.
     """
     if clean.shape != residual_noise.shape:
         raise ValueError(
@@ -123,5 +165,14 @@ def oracle_irm(
         )
     cp = np.abs(clean.data) ** 2
     np_ = np.abs(residual_noise.data) ** 2
-    eps = IRM_EPS_REL * max(float(cp.mean()), np.finfo(np.float64).tiny)
+    if eps is None:
+        eps = IRM_EPS_REL * max(float(cp.mean()), np.finfo(np.float64).tiny)
     return np.sqrt(cp / (cp + np_ + eps))
+
+
+def oracle_eps(clean: AudioBuffer, cfg: StftConfig) -> float:
+    """The oracle mask's eps from the clean signal itself: ``IRM_EPS_REL``
+    times the mean power of its STFT coefficients, which is the signal power
+    times the window energy (Parseval), known before any frame is analysed."""
+    power = clean.power() * float(np.sum(cfg.window**2))
+    return IRM_EPS_REL * max(power, np.finfo(np.float64).tiny)

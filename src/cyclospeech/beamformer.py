@@ -45,12 +45,15 @@ Diagnostic sidecar layout (binary, little-endian):
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .modulation import AugmentedSpectrogram
 from .stft import ComplexSpectrogram
 
 __all__ = [
+    "CmpdrState",
     "solve_weights",
     "process",
     "read_diagnostics",
@@ -66,9 +69,12 @@ _ABS_LOAD_FLOOR = 1e-30
 # rounding drift of the rank-1 updates and restore the loading.
 _REANCHOR_FRAMES = 32
 
-# Frames per block: the frames of a block are gathered into fixed-layout
+# Frames per chunk: the frames of a chunk are gathered into fixed-layout
 # buffers and their outputs written out at once.
 _BLOCK_FRAMES = 64
+
+# Leading frames whose mean channel-0 power sets the warm start of S.
+_WARM_FRAMES = 10
 
 
 def _loaded_solve(
@@ -135,12 +141,32 @@ def _covariance(cov: np.ndarray, x: np.ndarray, beta_x: float) -> np.ndarray:
     return s
 
 
+@dataclass
+class CmpdrState:
+    """What the recursion carries from one block of frames to the next.
+
+    ``process(block, state=state)`` over consecutive frame blocks of one
+    stack, in order, gives the whole stack's output bit for bit, provided the
+    first block holds at least ``_WARM_FRAMES`` frames (the warm start reads
+    them). A fresh state starts at frame 0.
+    """
+
+    shape: tuple[int, int] | None = None  # (C, K), fixed by the first block
+    frame: int = 0  # stack index of the next frame
+    anchor: int = -1  # stack index of the last anchor; -1 is the warm start
+    cov: np.ndarray | None = None  # S at the anchor, (C, C, K)
+    since: np.ndarray | None = None  # the frames after the anchor, (C, m, K)
+    zc: np.ndarray | None = None  # z^*, (C - 1, K)
+    q_inv: np.ndarray | None = None  # Q = beta_x^m P_r, (C - 1, C - 1, K)
+
+
 def process(
     aug: AugmentedSpectrogram,
     beta_x: float = 0.95,
     diag_load: float = 1e-6,
     companion: AugmentedSpectrogram | None = None,
     diagnostics_path=None,
+    state: CmpdrState | None = None,
 ):
     """Run the per-bin recursion and beamform every frame.
 
@@ -149,77 +175,114 @@ def process(
     how a known clean signal is passed through the identical preprocessor.
     Returns the beamformed spectrogram, or a (main, companion) pair when a
     companion is given.
+
+    With ``state``, ``aug`` is the next block of frames of a longer stack and
+    the recursion continues from ``state``, which it advances; without, the
+    stack is one block run from a fresh state. The sidecar needs the whole
+    stack in one call.
     """
     if not 0.0 < beta_x < 1.0:
         raise ValueError("beta_x must lie strictly between 0 and 1")
     if companion is not None and companion.channels.shape != aug.channels.shape:
         raise ValueError("companion must match the main spectrogram's shape")
-
+    if state is not None and diagnostics_path is not None:
+        raise ValueError("diagnostics_path needs the whole stack in one call, not a state")
+    state = CmpdrState() if state is None else state
     chans = aug.channels  # (C, K, L)
     c, k, l = chans.shape
-    if c == 1:
-        main = ComplexSpectrogram(
-            data=chans[0].copy(), config=aug.config, num_samples=aug.num_samples
+    if state.shape is None:
+        state.shape = (c, k)
+    elif state.shape != (c, k):
+        raise ValueError(
+            f"block of {c} channels x {k} bins does not continue a state of "
+            f"{state.shape[0]} channels x {state.shape[1]} bins"
         )
-        if diagnostics_path is not None:
-            ones = np.ones((k, l, 1), dtype=np.complex64)
-            final_cov = np.zeros((k, 1, 1), dtype=np.complex64)
-            _write_diagnostics(diagnostics_path, final_cov, ones)
-        if companion is None:
-            return main
-        comp = ComplexSpectrogram(
-            data=companion.channels[0].copy(),
-            config=companion.config,
-            num_samples=companion.num_samples,
-        )
-        return main, comp
 
     # (C, L, K) views: on build_augmented's frame-major stacks each frame of
     # each channel is a contiguous run of K values. Every sum below runs over
     # a buffer of fixed layout, so the output does not depend on the stack's.
     frames = chans.transpose(0, 2, 1)
     frames_comp = companion.channels.transpose(0, 2, 1) if companion is not None else None
-
-    # S is kept at the last anchor only, warm-started at frame -1 at a small
-    # multiple of the early per-bin input power. S, P_r and z^* are bins
-    # innermost, so each per-frame step is a few whole-array operations over
-    # contiguous runs of K values. P_r is held as Q = beta_x^m P_r, m frames
-    # after its anchor, which folds the per-frame 1 / beta_x into scalars.
-    r = c - 1
-    warm = min(10, l)
-    cov = np.zeros((c, c, k), dtype=np.complex128)
-    cov[np.arange(c), np.arange(c)] = 1e-3 * np.mean(
-        np.abs(np.ascontiguousarray(frames[0, :warm])) ** 2, axis=0
-    )
-    anchor = -1
-    g = (1.0 - beta_x) / beta_x
-    tmp = np.empty((r, r, k), dtype=np.complex128)
-
-    out = np.empty((k, l), dtype=np.complex128)
-    out_comp = np.empty((k, l), dtype=np.complex128) if companion is not None else None
     weights_log = (
         np.empty((k, l, c), dtype=np.complex64) if diagnostics_path is not None else None
     )
+    if c == 1:
+        out = frames[0].T.copy()
+        out_comp = frames_comp[0].T.copy() if companion is not None else None
+        state.frame += l
+        if weights_log is not None:
+            weights_log[...] = 1.0
+            _write_diagnostics(diagnostics_path, np.zeros((k, 1, 1)), weights_log)
+    else:
+        out, out_comp = _recursion(
+            state, frames, frames_comp, beta_x, diag_load, weights_log
+        )
+        if weights_log is not None:
+            final_cov = _covariance(state.cov, state.since, beta_x).transpose(2, 0, 1)
+            _write_diagnostics(diagnostics_path, final_cov, weights_log)
+
+    main = ComplexSpectrogram(data=out, config=aug.config, num_samples=aug.num_samples)
+    if companion is None:
+        return main
+    comp = ComplexSpectrogram(
+        data=out_comp, config=companion.config, num_samples=companion.num_samples
+    )
+    return main, comp
+
+
+def _recursion(state, frames, frames_comp, beta_x, diag_load, weights_log):
+    """Beamform the frames (C, L, K) of one block, C > 1, continuing and
+    advancing ``state``; returns the (K, L) outputs for the block and its
+    companion (None without one), and fills ``weights_log`` when given."""
+    c, l, k = frames.shape
+    f0 = state.frame  # stack index of the block's first frame
+    if f0 == 0:
+        # S is warm-started at frame -1 at a small multiple of the early
+        # per-bin input power
+        state.cov = np.zeros((c, c, k), dtype=np.complex128)
+        state.cov[np.arange(c), np.arange(c)] = 1e-3 * np.mean(
+            np.abs(np.ascontiguousarray(frames[0, :_WARM_FRAMES])) ** 2, axis=0
+        )
+        state.since = np.zeros((c, 0, k), dtype=np.complex128)
+
+    def since(stop, bins=slice(None)):
+        """The frames after the anchor up to block frame ``stop`` (exclusive)."""
+        lo = state.anchor + 1 - f0
+        if lo >= 0:
+            return frames[:, lo:stop, bins]
+        return np.concatenate([state.since[:, :, bins], frames[:, :stop, bins]], axis=1)
+
+    # S is kept at the last anchor only. S, P_r and z^* are bins innermost,
+    # so each per-frame step is a few whole-array operations over contiguous
+    # runs of K values. P_r is held as Q = beta_x^m P_r, m frames after its
+    # anchor, which folds the per-frame 1 / beta_x into scalars.
+    r = c - 1
+    g = (1.0 - beta_x) / beta_x
+    tmp = np.empty((r, r, k), dtype=np.complex128)
+    out = np.empty((k, l), dtype=np.complex128)
+    out_comp = np.empty((k, l), dtype=np.complex128) if frames_comp is not None else None
     x_buf = np.empty((c, _BLOCK_FRAMES, k), dtype=np.complex128)
     zc_buf = np.empty((r, _BLOCK_FRAMES, k), dtype=np.complex128)
     max_d = 1.0 / np.finfo(np.float64).eps
+    zc, q_inv = state.zc, state.q_inv
     for start in range(0, l, _BLOCK_FRAMES):
         stop = min(start + _BLOCK_FRAMES, l)
         n = stop - start
         x_blk = x_buf[:, :n]
         x_blk[...] = frames[:, start:stop]
-        for i, frame in enumerate(range(start, stop)):
+        for i, j in enumerate(range(start, stop)):
+            frame = f0 + j
             x0, xr = x_blk[0, i], x_blk[1:, i]
             if frame % _REANCHOR_FRAMES == 0:
-                cov = _covariance(cov, frames[:, anchor + 1 : frame + 1], beta_x)
-                anchor = frame
-                z, p, _ = _loaded_solve(cov, diag_load)
+                state.cov = _covariance(state.cov, since(j + 1), beta_x)
+                state.anchor = frame
+                z, p, _ = _loaded_solve(state.cov, diag_load)
                 zc, q_inv = np.conj(z), p.copy()  # zc = z^*: e = x0 - sum(zc xr)
             else:
                 # m updates after the anchor, Q = beta_x^m P_r, so u = s q
                 # with q = Q xr and s = beta_x^-m, k^* = (g s / d) q^*, and
                 # the update of P_r is Q <- Q - q k^H
-                gs = g * beta_x ** (anchor - frame + 1)
+                gs = g * beta_x ** (state.anchor - frame + 1)
                 np.multiply(q_inv, xr, out=tmp)
                 q = tmp.sum(axis=1)
                 qc = np.conj(q)
@@ -232,34 +295,25 @@ def process(
                 ok = (d > 0.0) & (d < max_d) & np.isfinite(e)
                 if not ok.all():
                     bad = ~ok
-                    since = frames[:, anchor + 1 : frame + 1, bad]
-                    s = _covariance(cov[:, :, bad], since, beta_x)
+                    s = _covariance(state.cov[:, :, bad], since(j + 1, bad), beta_x)
                     z, p, _ = _loaded_solve(s, diag_load)
                     zc[:, bad] = np.conj(z)
-                    q_inv[:, :, bad] = beta_x ** (frame - anchor) * p
+                    q_inv[:, :, bad] = beta_x ** (frame - state.anchor) * p
             zc_buf[:, i] = zc
-        # y = w^H x = x0 - z^H xr for the whole block at once (equal to e / d
+        # y = w^H x = x0 - z^H xr for the whole chunk at once (equal to e / d
         # in exact arithmetic), main and companion alike
         zc_blk = zc_buf[:, :n]
         out[:, start:stop] = (x_blk[0] - (zc_blk * x_blk[1:]).sum(axis=0)).T
-        if companion is not None:
+        if frames_comp is not None:
             xc_blk = frames_comp[:, start:stop]
             out_comp[:, start:stop] = (xc_blk[0] - (zc_blk * xc_blk[1:]).sum(axis=0)).T
         if weights_log is not None:
             weights_log[:, start:stop, 0] = 1.0
             weights_log[:, start:stop, 1:] = -np.conj(zc_blk.transpose(2, 1, 0))
-
-    if diagnostics_path is not None:
-        final_cov = _covariance(cov, frames[:, anchor + 1 :], beta_x).transpose(2, 0, 1)
-        _write_diagnostics(diagnostics_path, final_cov.astype(np.complex64), weights_log)
-
-    main = ComplexSpectrogram(data=out, config=aug.config, num_samples=aug.num_samples)
-    if companion is None:
-        return main
-    comp = ComplexSpectrogram(
-        data=out_comp, config=companion.config, num_samples=companion.num_samples
-    )
-    return main, comp
+    state.zc, state.q_inv = zc, q_inv
+    state.since = np.array(since(l))  # a copy: the block's stack is not kept
+    state.frame = f0 + l
+    return out, out_comp
 
 
 def _write_diagnostics(path, final_cov: np.ndarray, weights: np.ndarray) -> None:

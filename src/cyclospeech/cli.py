@@ -11,8 +11,6 @@ from pathlib import Path
 
 from .dataset import SynthSettings, eval_dataset, synth_dataset
 from .pipeline import (
-    MASK_CHOICES,
-    PREPROC_CHOICES,
     PipelineConfig,
     PipelineError,
     field_parser,
@@ -23,24 +21,28 @@ from .wavio import read_wav
 
 logger = logging.getLogger(__name__)
 
-_CHOICES = {"preproc": PREPROC_CHOICES, "mask": MASK_CHOICES}
 _MODSET_HELP = "comma-separated shifts in Hz (e.g. 0,110,220) to bypass estimation"
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
     """One flag per ``PipelineConfig`` field, ``--dashed-name`` (``--modset``
     for ``forced_modset``), parsed as ``PipelineConfig.from_mapping`` parses
-    that key. A flag left out is absent from the namespace."""
+    that key, with the field's admissible values as its help; the config
+    checks them. A flag left out is absent from the namespace."""
     parser.add_argument("--config", help="flat key=value config file")
     for f in fields(PipelineConfig):
         is_modset = f.name == "forced_modset"
+        allowed = f.metadata.get("admits")
+        if isinstance(allowed, tuple):
+            allowed = "one of {" + ", ".join(allowed) + "}"
+        else:
+            allowed = f"in {allowed}"
         parser.add_argument(
             "--modset" if is_modset else "--" + f.name.replace("_", "-"),
             dest=f.name,
             type=field_parser(f.name),
-            choices=_CHOICES.get(f.name),
             default=argparse.SUPPRESS,
-            help=_MODSET_HELP if is_modset else None,
+            help=_MODSET_HELP if is_modset else f"{allowed}, default {f.default}",
         )
 
 

@@ -51,7 +51,7 @@ class ModulationSet:
 ROTATOR_BLOCK = 1024
 
 
-def modulate(signal: AudioBuffer, alpha: float) -> AudioBuffer:
+def modulate(signal: AudioBuffer, alpha: float, start: int = 0) -> AudioBuffer:
     """Multiply by a complex exponential of frequency ``alpha`` Hz.
 
     The rotator exp(j*2*pi*alpha*n/fs) is built without a full-length
@@ -62,6 +62,10 @@ def modulate(signal: AudioBuffer, alpha: float) -> AudioBuffer:
     8*eps*(1 + 2*pi*|alpha|*n/fs) of the direct full-length form; that form
     itself carries the phase rounding eps*2*pi*|alpha|*n/fs, so the two
     agree to the accuracy either has.
+
+    ``signal`` may be a segment of a longer signal that starts at its sample
+    ``start``: n is then the index in the longer signal, and the segment
+    gets the same bits as that signal's modulation has there.
     """
     alpha = float(alpha)
     fs = signal.sample_rate
@@ -70,15 +74,18 @@ def modulate(signal: AudioBuffer, alpha: float) -> AudioBuffer:
             f"shift {alpha} Hz is not below the Nyquist frequency {fs / 2} Hz"
         )
     n = len(signal)
-    block = max(1, min(ROTATOR_BLOCK, n))
-    starts = np.arange(0, n, block)
+    first = start // ROTATOR_BLOCK  # block holding the segment's first sample
+    starts = np.arange(first, -(-(start + n) // ROTATOR_BLOCK)) * ROTATOR_BLOCK
+    # offsets past the segment's last sample are never read
+    block = max(1, min(ROTATOR_BLOCK, start + n - first * ROTATOR_BLOCK))
     rotator = np.empty((len(starts), block), dtype=np.complex128)
     np.multiply.outer(
         np.exp(2j * np.pi * alpha * starts / fs),
         np.exp(2j * np.pi * alpha * np.arange(block) / fs),
         out=rotator,
     )
-    rotator = rotator.reshape(-1)[:n]
+    skip = start - first * ROTATOR_BLOCK
+    rotator = rotator.reshape(-1)[skip : skip + n]
     rotator *= signal.samples
     return AudioBuffer(rotator, fs)
 
@@ -111,26 +118,34 @@ class AugmentedSpectrogram:
 
 
 def build_augmented(
-    signal: AudioBuffer, modset: ModulationSet, cfg: StftConfig
+    signal: AudioBuffer,
+    modset: ModulationSet,
+    cfg: StftConfig,
+    frames: tuple[int, int] | None = None,
 ) -> AugmentedSpectrogram:
     """Stack the STFTs of modulated signal copies, one channel per shift.
 
-    The stack is allocated once, frame-major (C, L, K), and each channel's
-    spectrogram is copied into its slot: ``stft(...).data.T`` is the
-    C-contiguous FFT output, so each copy is a plain contiguous one.
+    With ``frames=(first, stop)`` only those frames are built: each shift
+    modulates just the samples they read, at their index in ``signal``, and
+    the stack equals the same columns of the whole-signal stack bit for bit
+    (it then records no sample count). The stack is allocated once,
+    frame-major (C, L, K), and each channel's FFT is computed in its slot.
     ``channels`` is the (C, K, L) transposed view of that stack.
     """
     modset.validate_for_rate(signal.sample_rate)
-    k, l = cfg.fft_size, cfg.num_frames(len(signal))
-    stack = np.empty((len(modset), l, k), dtype=np.complex128)
+    n = len(signal)
+    first, stop = (0, cfg.num_frames(n)) if frames is None else frames
+    lo, hi = cfg.frame_span(first, stop, n)
+    segment = AudioBuffer(signal.samples[lo:hi], signal.sample_rate)
+    stack = np.empty((len(modset), stop - first, cfg.fft_size), dtype=np.complex128)
     for slot, alpha in zip(stack, modset.shifts):
         # the zero shift modulates bit-exactly to a complex copy, so channel 0
         # is the plain STFT without numpy casting a real frame matrix to
         # complex next to the stack
-        slot[...] = stft(modulate(signal, alpha), cfg).data.T
+        stft(modulate(segment, alpha, start=lo), cfg, frames=(first, stop), out=slot)
     return AugmentedSpectrogram(
         channels=stack.transpose(0, 2, 1),
         modset=modset,
         config=cfg,
-        num_samples=len(signal),
+        num_samples=n if frames is None else None,
     )

@@ -159,6 +159,12 @@ class StftConfig:
             raise ValueError("num_samples must be positive")
         return -(-(num_samples + self.pad) // self.hop)
 
+    def frame_span(self, first: int, stop: int, num_samples: int) -> tuple[int, int]:
+        """The samples [lo, hi) of a ``num_samples``-long signal that frames
+        ``first``..``stop - 1`` of its STFT read; frame l reads samples
+        l*hop - pad .. l*hop + hop - 1, zero outside the signal."""
+        return max(first * self.hop - self.pad, 0), min(stop * self.hop, num_samples)
+
 
 def default_stft_config(sample_rate: int = 16000) -> StftConfig:
     """32 ms frames, 8 ms hop, square-root periodic Hann pair.
@@ -214,23 +220,39 @@ class ComplexSpectrogram:
         return self.data.shape
 
 
-def _frame_signal(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
+def _frame_signal(
+    x: np.ndarray, cfg: StftConfig, first: int = 0, count: int | None = None
+) -> np.ndarray:
     """Zero-pad the signal and view it as overlapping frames (L x frame_len).
 
-    The result is a read-only strided view of the padded copy, not a gather.
+    With ``first``, ``x`` holds the samples that frames ``first``.. read (see
+    ``StftConfig.frame_span``) and ``count`` frames are framed. The result is
+    a read-only strided view of the padded copy, not a gather.
     """
-    n = x.shape[0]
-    num_frames = cfg.num_frames(n)
-    total = (num_frames - 1) * cfg.hop + cfg.frame_len
-    padded = np.zeros(total, dtype=x.dtype)
-    padded[cfg.pad : cfg.pad + n] = x
+    if count is None:
+        count = cfg.num_frames(x.shape[0])
+    begin = first * cfg.hop - cfg.pad  # sample index of the first frame's start
+    padded = np.zeros((count - 1) * cfg.hop + cfg.frame_len, dtype=x.dtype)
+    lead = max(-begin, 0)
+    padded[lead : lead + x.shape[0]] = x
     return sliding_window_view(padded, cfg.frame_len)[:: cfg.hop]
 
 
-def stft(signal: AudioBuffer, cfg: StftConfig) -> ComplexSpectrogram:
+def stft(
+    signal: AudioBuffer,
+    cfg: StftConfig,
+    frames: tuple[int, int] | None = None,
+    out: np.ndarray | None = None,
+) -> ComplexSpectrogram:
     """Analyze a (possibly complex) signal into a two-sided complex spectrogram.
 
     Column l is the windowed FFT of the padded signal starting at l*hop.
+    With ``frames=(first, stop)`` only those columns are computed, and
+    ``signal`` holds just the samples they read, ``cfg.frame_span(first,
+    stop, n)`` of the n-sample signal; the columns equal the same columns of
+    the whole signal's STFT bit for bit, and the result records no sample
+    count. ``out``, a (frames, fft_size) complex128 array, receives the FFTs
+    frame-major; the result's ``data`` is its transpose.
     Deterministic for fixed input.
     """
     if len(signal) == 0:
@@ -240,22 +262,38 @@ def stft(signal: AudioBuffer, cfg: StftConfig) -> ComplexSpectrogram:
             f"signal sample rate {signal.sample_rate} does not match "
             f"config sample rate {cfg.sample_rate}"
         )
-    frames = _frame_signal(signal.samples, cfg)
+    if frames is None:
+        first, count, num_samples = 0, cfg.num_frames(len(signal)), len(signal)
+    else:
+        first, count, num_samples = frames[0], frames[1] - frames[0], None
+        if first < 0 or count <= 0:
+            raise ValueError(f"frame range {frames} is empty or negative")
     # window into one (L, fft_size) buffer with a zero tail and transform it
     # in place: a single allocation for the whole spectrogram
-    buf = np.empty((frames.shape[0], cfg.fft_size), dtype=np.complex128)
-    np.multiply(frames, cfg.window, out=buf[:, : cfg.frame_len])
+    buf = np.empty((count, cfg.fft_size), dtype=np.complex128) if out is None else out
+    if buf.shape != (count, cfg.fft_size) or buf.dtype != np.complex128:
+        raise ValueError(f"out must be a ({count}, {cfg.fft_size}) complex128 array")
+    frame_view = _frame_signal(signal.samples, cfg, first, count)
+    np.multiply(frame_view, cfg.window, out=buf[:, : cfg.frame_len])
     buf[:, cfg.frame_len :] = 0.0
     np.fft.fft(buf, axis=1, out=buf)
-    return ComplexSpectrogram(data=buf.T, config=cfg, num_samples=len(signal))
+    return ComplexSpectrogram(data=buf.T, config=cfg, num_samples=num_samples)
 
 
-def istft(spec: ComplexSpectrogram) -> AudioBuffer:
+def istft(
+    spec: ComplexSpectrogram, out: np.ndarray | None = None, first_frame: int = 0
+) -> AudioBuffer | None:
     """Weighted overlap-add synthesis.
 
     Output is complex in general; callers producing audio take the real part.
     When the spectrogram records the original sample count, exactly that many
     samples are returned; otherwise the zero-padding margins are trimmed.
+
+    With ``out``, the float64 samples of the whole signal, ``spec`` holds
+    frames ``first_frame``.. of its STFT: their real part is overlap-added
+    into ``out``, the samples no later frame reaches are scaled, and nothing
+    is returned. Run over consecutive frame blocks in order, from zeros, it
+    leaves ``istft(whole).real()`` in ``out`` bit for bit.
     """
     cfg = spec.config
     dev = cfg.cola_deviation()
@@ -264,17 +302,22 @@ def istft(spec: ComplexSpectrogram) -> AudioBuffer:
             f"window pair violates constant overlap-add "
             f"(relative deviation {dev:.3e} > {COLA_RTOL:.0e})"
         )
-    num_frames = spec.num_frames
     frames = np.fft.ifft(spec.data.T, axis=1)[:, : cfg.frame_len]
     frames *= cfg.synthesis_window
-    total = (num_frames - 1) * cfg.hop + cfg.frame_len
-    out = np.zeros(total, dtype=np.complex128)
-    for l in range(num_frames):
-        start = l * cfg.hop
-        out[start : start + cfg.frame_len] += frames[l]
-    out /= cfg.ola_gain()
-    if spec.num_samples is not None:
-        out = out[cfg.pad : cfg.pad + spec.num_samples]
+    whole = out is None
+    if whole:
+        n = spec.num_samples
+        if n is None:
+            n = max(spec.num_frames * cfg.hop - cfg.pad, 0)
+        out = np.zeros(n, dtype=np.complex128)
     else:
-        out = out[cfg.pad : total - cfg.pad]
-    return AudioBuffer(out, cfg.sample_rate)
+        frames = frames.real
+    begin = first_frame * cfg.hop - cfg.pad  # where the first frame starts
+    for i, frame in enumerate(frames):
+        start = begin + i * cfg.hop
+        lo, hi = max(start, 0), min(start + cfg.frame_len, len(out))
+        out[lo:hi] += frame[lo - start : hi - start]
+    # the product by the reciprocal is what dividing a complex array by the
+    # real gain computes, so the real and complex paths agree bit for bit
+    out[max(begin, 0) : max(begin + len(frames) * cfg.hop, 0)] *= 1.0 / cfg.ola_gain()
+    return AudioBuffer(out, cfg.sample_rate) if whole else None

@@ -423,3 +423,54 @@ def test_non_finite_bin_is_contained():
     finite[5, 70] = True
     assert finite.all()
     assert np.isfinite(weights).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    c=st.integers(1, 5),
+    k=st.sampled_from([4, 8, 16]),
+    l=st.integers(beamformer._WARM_FRAMES + 1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_blocks_with_a_carried_state_equal_one_call(c, k, l, seed, data):
+    # silence, then a loud onset that forces bad-bin re-anchors, and a NaN
+    # bin: both read the frames since the last anchor, across block edges
+    chans = random_channels(c, k, l, seed)
+    onset = data.draw(st.integers(0, l - 1), label="onset")
+    chans[:, :, :onset] = 0.0
+    chans[:, :, onset:] *= 1e6
+    chans[c - 1, data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, l - 1))] = np.nan
+    comp = random_channels(c, k, l, seed + 1)
+    # the first block holds the warm-start frames; later edges fall anywhere
+    cuts = data.draw(
+        st.lists(st.integers(beamformer._WARM_FRAMES, l - 1), unique=True, max_size=8),
+        label="cuts",
+    )
+    edges = [0, *sorted(cuts), l]
+    whole, whole_comp = cmpdr_process(stack(chans), companion=stack(comp))
+    state = beamformer.CmpdrState()
+    parts = [
+        cmpdr_process(stack(chans[:, :, a:b]), companion=stack(comp[:, :, a:b]), state=state)
+        for a, b in zip(edges, edges[1:])
+    ]
+    assert np.array_equal(
+        np.concatenate([p.data for p, _ in parts], axis=1), whole.data, equal_nan=True
+    )
+    assert np.array_equal(
+        np.concatenate([q.data for _, q in parts], axis=1), whole_comp.data, equal_nan=True
+    )
+
+
+def test_state_rejects_a_sidecar_and_a_block_of_another_shape(tmp_path):
+    state = beamformer.CmpdrState()
+    cmpdr_process(stack(random_channels(3, 8, 20, seed=1)), state=state)
+    with pytest.raises(ValueError, match="diagnostics_path"):
+        cmpdr_process(
+            stack(random_channels(3, 8, 20, seed=2)),
+            diagnostics_path=tmp_path / "bf.diag",
+            state=state,
+        )
+    for c, k in ((4, 8), (3, 16)):
+        with pytest.raises(ValueError, match="does not continue"):
+            cmpdr_process(stack(random_channels(c, k, 20, seed=3)), state=state)

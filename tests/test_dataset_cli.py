@@ -301,25 +301,39 @@ def test_eval_short_clip_scores_id_and_skips_cmpdr_with_stage(tmp_path):
     assert "shorter than" in log_text
 
 
-# Values outside the range its stage enforces, per field. A one-sample Welch
-# segment gives a one-point grid, which has no step.
+# Values outside the range each field admits, one entry per field: ends of
+# open intervals, NaN, unknown choices, and shift sets that are no set.
 OUT_OF_RANGE = {
-    "sample_rate": (0,),
+    "sample_rate": (0, -8000),
+    "preproc": ("dnn",),
+    "mask": ("learned",),
+    "beta_x": (0.0, 1.0, float("nan")),
+    "diag_load": (0.0, -1e-6),
+    "peak_count": (0,),
+    "coherence_threshold": (-0.1, 1.5),
+    "max_shifts": (0,),
     "welch_seg": (0, 1),
-    "welch_overlap": (1.5,),
-    "ms_window_sec": (-1.0,),
-    "ms_alpha": (2.0,),
+    "welch_overlap": (-0.1, 1.0, 1.5),
+    "ms_window_sec": (0.0, -1.0),
+    "ms_alpha": (0.0, 1.0, 2.0),
     "ms_bias": (0.5,),
+    "gain_floor_db": (0.0, 3.0),
+    "forced_modset": ((100.0,), (0.0, 50.0, 50.0), (0.0, 8000.0)),
 }
 
 
-@pytest.mark.parametrize("name", OUT_OF_RANGE)
-def test_out_of_range_value_refused_by_constructor_and_flag(name, tmp_path, capsys):
+def _flag_text(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+@pytest.mark.parametrize("field", fields(PipelineConfig), ids=lambda f: f.name)
+def test_out_of_range_value_refused_by_constructor_and_flag(field, tmp_path, capsys):
+    name = field.name
     for value in OUT_OF_RANGE[name]:
         with pytest.raises(ValueError, match=name):
             PipelineConfig(**{name: value})
-        rc = cli_main(["modset", str(tmp_path / "in.wav"), _flag(name), str(value)])
-        assert rc == 2
+        argv = ["modset", str(tmp_path / "in.wav"), f"{_flag(name)}={_flag_text(value)}"]
+        assert cli_main(argv) == 2
         assert name in capsys.readouterr().err
 
 

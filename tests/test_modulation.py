@@ -118,6 +118,33 @@ def test_build_augmented_peak_memory():
     assert peak <= 1.5 * aug.channels.nbytes
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    fs=st.sampled_from([8000, 11025, 16000, 22050, 44100, 48000]),
+    seconds=st.floats(1e-4, 2.5),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_frame_range_equals_the_columns_of_the_whole_stack(fs, seconds, seed, data):
+    cfg = default_stft_config(fs)
+    length = max(1, round(seconds * fs))
+    sig = AudioBuffer(np.random.default_rng(seed).standard_normal(length), fs)
+    modset = ModulationSet((0.0, 120.0, -57.3, 0.31 * fs))
+    whole = build_augmented(sig, modset, cfg).channels
+    total = whole.shape[2]
+    # consecutive blocks, whose first and last touch the edges and whose last
+    # is ragged unless the block length divides the frame count, plus a
+    # single frame and a range drawn anywhere
+    block = data.draw(st.integers(1, total), label="block")
+    ranges = [(first, min(first + block, total)) for first in range(0, total, block)]
+    one = data.draw(st.integers(0, total - 1), label="one")
+    first = data.draw(st.integers(0, total - 1), label="first")
+    ranges += [(one, one + 1), (first, data.draw(st.integers(first + 1, total), label="stop"))]
+    for first, stop in ranges:
+        part = build_augmented(sig, modset, cfg, frames=(first, stop)).channels
+        assert np.array_equal(part, whole[:, :, first:stop]), (first, stop)
+
+
 def test_trivial_modset_single_channel(cfg16k):
     sig = AudioBuffer(np.sin(np.arange(4000) * 0.02), FS)
     aug = build_augmented(sig, ModulationSet((0.0,)), cfg16k)

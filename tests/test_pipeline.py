@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +15,10 @@ import cyclospeech
 from cyclospeech import (
     AudioBuffer,
     HarmonicNoiseParams,
+    build_augmented,
+    cmpdr_process,
     MixSpec,
+    ModulationSet,
     PipelineConfig,
     PipelineError,
     default_stft_config,
@@ -23,6 +27,7 @@ from cyclospeech import (
     read_wav,
     run_pipeline,
     si_sdr,
+    stft,
     synth_harmonic_cs_noise,
     synth_speech_like,
     trim_edges,
@@ -120,12 +125,17 @@ def test_identity_pipeline_is_metric_neutral(cfg16k, speech_4s):
     assert err <= 1e-6 * np.linalg.norm(speech_4s.samples)
 
 
+def trivial_stage(signal, cfg):
+    """The cmpdr stage's output spectrogram under the trivial set {0}."""
+    return cmpdr_process(build_augmented(signal, ModulationSet((0.0,)), cfg)).data
+
+
 def test_cmpdr_trivial_modset_equals_identity_spectrogram(cfg16k, speech_4s):
     ident = enhance_buffer(speech_4s, PipelineConfig(preproc="id"))
     trivial = enhance_buffer(
         speech_4s, PipelineConfig(preproc="cmpdr", forced_modset=(0.0,))
     )
-    assert np.array_equal(ident.preprocessed.data, trivial.preprocessed.data)
+    assert np.array_equal(trivial_stage(speech_4s, cfg16k), stft(speech_4s, cfg16k).data)
     assert np.array_equal(ident.enhanced.samples, trivial.enhanced.samples)
 
 
@@ -141,7 +151,8 @@ def test_trivial_modset_is_the_identity_at_every_rate(fs, length, seed):
     trivial = enhance_buffer(
         noisy, PipelineConfig(sample_rate=fs, preproc="cmpdr", forced_modset=(0.0,))
     )
-    assert np.array_equal(ident.preprocessed.data, trivial.preprocessed.data)
+    cfg = default_stft_config(fs)
+    assert np.array_equal(trivial_stage(noisy, cfg), stft(noisy, cfg).data)
     assert np.array_equal(ident.enhanced.samples, trivial.enhanced.samples)
 
 
@@ -156,12 +167,59 @@ def test_unmasked_run_builds_no_clean_companion(speech_4s, monkeypatch):
     monkeypatch.setattr(
         cyclospeech.pipeline,
         "build_augmented",
-        lambda *args: builds.append(args) or real_build(*args),
+        lambda *args, **kwargs: builds.append(args) or real_build(*args, **kwargs),
     )
     with_clean = enhance_buffer(noisy, config, clean=speech_4s)
     assert len(builds) == 1
     without = enhance_buffer(noisy, config)
     assert np.array_equal(with_clean.enhanced.samples, without.enhanced.samples)
+
+
+def _mixture(seconds, seed):
+    speech = synth_speech_like(seconds, FS, seed=seed)
+    noise = synth_harmonic_cs_noise(seconds, FS, HarmonicNoiseParams(f0=97.0, seed=seed + 1))
+    mix, _ = mix_at_snr(speech, noise, MixSpec(snr_db=-10.0))
+    return mix, speech
+
+
+FIVE_SHIFTS = PipelineConfig(mask="oracle-irm", forced_modset=tuple(97.0 * p for p in range(5)))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        PipelineConfig(preproc="id"),
+        PipelineConfig(preproc="wiener"),
+        replace(FIVE_SHIFTS, mask="none"),
+        FIVE_SHIFTS,
+    ],
+    ids=lambda c: c.label(),
+)
+def test_output_does_not_depend_on_the_block_length(config, monkeypatch):
+    # 626 frames: two default blocks, and the Wiener window (188 frames)
+    # spans several 64-frame blocks
+    mix, speech = _mixture(5.0, seed=70)
+    ref = enhance_buffer(mix, config, clean=speech).enhanced.samples
+    for frames in (64, 100, 10**6):
+        monkeypatch.setattr(cyclospeech.pipeline, "_STREAM_FRAMES", frames)
+        out = enhance_buffer(mix, config, clean=speech).enhanced.samples
+        assert np.array_equal(out, ref), frames
+
+
+def test_enhance_peak_memory_does_not_grow_with_input_length():
+    # the blocks bound what the stages hold; only the audio arrays (a few MB
+    # here) grow with the input, where whole-input stacks grew by ~12 MB/s
+    peaks = []
+    for seconds in (8.0, 32.0):
+        mix, speech = _mixture(seconds, seed=71)
+        enhance_buffer(mix, FIVE_SHIFTS, clean=speech)  # first-call setup stays out
+        tracemalloc.start()
+        try:
+            enhance_buffer(mix, FIVE_SHIFTS, clean=speech)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 50 * 2**20, [p / 2**20 for p in peaks]
 
 
 def test_oracle_mask_requires_reference(speech_4s):

@@ -10,7 +10,6 @@ out the toolkit.
 
 from .baselines import apply_mask, min_stats_noise_psd, oracle_irm, wiener_gain
 from .beamformer import process as cmpdr_process
-from .beamformer import read_diagnostics, solve_weights
 from .dataset import SynthSettings, eval_dataset, synth_dataset
 from .metrics import MetricRecord, aggregate, curve_points, si_sdr, stoi
 from .modset import (

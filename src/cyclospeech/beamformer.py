@@ -29,18 +29,11 @@ g = (1 - beta_x) / beta_x:
 This is the loaded solve in exact arithmetic, with the loading decaying by
 beta_x per frame, at O((C-1)^2) per bin and frame; no C x C covariance or
 inverse is updated per frame. S is formed only where it is read, each time
-from the frames since the last anchor in one block product: at anchors, for
-the sidecar's final covariance, and in a bin whose update fails, which is
-re-anchored at that frame. An update fails where e is not finite or d is not
-positive and below 1/eps (beyond that, the update cancels every digit of P_r
-along xr). A bin whose solve is not finite falls back to z = 0, P_r = I,
-i.e. w = e1.
-
-Diagnostic sidecar layout (binary, little-endian):
-    bytes 0..7    magic b"CYCBFDG1"
-    3 x uint32    K (bins), C (channels), L (frames)
-    complex64     final covariance, K*C*C values, row-major (K, C, C)
-    complex64     weight trajectories [1, -z], K*L*C values, row-major (K, L, C)
+from the frames since the last anchor in one block product: at anchors, and
+in a bin whose update fails, which is re-anchored at that frame. An update
+fails where e is not finite or d is not positive and below 1/eps (beyond
+that, the update cancels every digit of P_r along xr). A bin whose solve is
+not finite falls back to z = 0, P_r = I, i.e. w = e1.
 """
 
 from __future__ import annotations
@@ -52,14 +45,7 @@ import numpy as np
 from .modulation import AugmentedSpectrogram
 from .stft import ComplexSpectrogram
 
-__all__ = [
-    "CmpdrState",
-    "solve_weights",
-    "process",
-    "read_diagnostics",
-]
-
-DIAGNOSTICS_MAGIC = b"CYCBFDG1"
+__all__ = ["CmpdrState", "process"]
 
 # Floor applied to the diagonal loading so an all-zero covariance still
 # yields the pass-through weights e1 instead of a singular solve.
@@ -112,22 +98,6 @@ def _loaded_solve(
     return z, inv, fallback
 
 
-def solve_weights(
-    cov: np.ndarray, diag_load: float = 1e-6
-) -> tuple[np.ndarray, bool]:
-    """Closed-form minimum-power weights with w^H e1 = 1.
-
-    ``cov`` is a C x C Hermitian matrix; the solve uses a diagonally loaded
-    copy. Returns (w, fallback); a numerically singular matrix falls back to
-    the pass-through weights e1 with the flag set.
-    """
-    cov = np.asarray(cov, dtype=np.complex128)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError("covariance must be a square matrix")
-    z, _, fb = _loaded_solve(cov[:, :, None], diag_load)
-    return np.concatenate([[1.0 + 0j], -z[:, 0]]), bool(fb[0])
-
-
 def _covariance(cov: np.ndarray, x: np.ndarray, beta_x: float) -> np.ndarray:
     """S (C, C, K') after the frames ``x`` (C, n, K'), given S = ``cov`` before
     them, as one block product over the frames."""
@@ -165,7 +135,6 @@ def process(
     beta_x: float = 0.95,
     diag_load: float = 1e-6,
     companion: AugmentedSpectrogram | None = None,
-    diagnostics_path=None,
     state: CmpdrState | None = None,
 ):
     """Run the per-bin recursion and beamform every frame.
@@ -178,15 +147,12 @@ def process(
 
     With ``state``, ``aug`` is the next block of frames of a longer stack and
     the recursion continues from ``state``, which it advances; without, the
-    stack is one block run from a fresh state. The sidecar needs the whole
-    stack in one call.
+    stack is one block run from a fresh state.
     """
     if not 0.0 < beta_x < 1.0:
         raise ValueError("beta_x must lie strictly between 0 and 1")
     if companion is not None and companion.channels.shape != aug.channels.shape:
         raise ValueError("companion must match the main spectrogram's shape")
-    if state is not None and diagnostics_path is not None:
-        raise ValueError("diagnostics_path needs the whole stack in one call, not a state")
     state = CmpdrState() if state is None else state
     chans = aug.channels  # (C, K, L)
     c, k, l = chans.shape
@@ -203,23 +169,12 @@ def process(
     # a buffer of fixed layout, so the output does not depend on the stack's.
     frames = chans.transpose(0, 2, 1)
     frames_comp = companion.channels.transpose(0, 2, 1) if companion is not None else None
-    weights_log = (
-        np.empty((k, l, c), dtype=np.complex64) if diagnostics_path is not None else None
-    )
     if c == 1:
         out = frames[0].T.copy()
         out_comp = frames_comp[0].T.copy() if companion is not None else None
         state.frame += l
-        if weights_log is not None:
-            weights_log[...] = 1.0
-            _write_diagnostics(diagnostics_path, np.zeros((k, 1, 1)), weights_log)
     else:
-        out, out_comp = _recursion(
-            state, frames, frames_comp, beta_x, diag_load, weights_log
-        )
-        if weights_log is not None:
-            final_cov = _covariance(state.cov, state.since, beta_x).transpose(2, 0, 1)
-            _write_diagnostics(diagnostics_path, final_cov, weights_log)
+        out, out_comp = _recursion(state, frames, frames_comp, beta_x, diag_load)
 
     main = ComplexSpectrogram(data=out, config=aug.config, num_samples=aug.num_samples)
     if companion is None:
@@ -230,10 +185,10 @@ def process(
     return main, comp
 
 
-def _recursion(state, frames, frames_comp, beta_x, diag_load, weights_log):
+def _recursion(state, frames, frames_comp, beta_x, diag_load):
     """Beamform the frames (C, L, K) of one block, C > 1, continuing and
     advancing ``state``; returns the (K, L) outputs for the block and its
-    companion (None without one), and fills ``weights_log`` when given."""
+    companion (None without one)."""
     c, l, k = frames.shape
     f0 = state.frame  # stack index of the block's first frame
     if f0 == 0:
@@ -307,31 +262,8 @@ def _recursion(state, frames, frames_comp, beta_x, diag_load, weights_log):
         if frames_comp is not None:
             xc_blk = frames_comp[:, start:stop]
             out_comp[:, start:stop] = (xc_blk[0] - (zc_blk * xc_blk[1:]).sum(axis=0)).T
-        if weights_log is not None:
-            weights_log[:, start:stop, 0] = 1.0
-            weights_log[:, start:stop, 1:] = -np.conj(zc_blk.transpose(2, 1, 0))
     state.zc, state.q_inv = zc, q_inv
     state.since = np.array(since(l))  # a copy: the block's stack is not kept
     state.frame = f0 + l
     return out, out_comp
 
-
-def _write_diagnostics(path, final_cov: np.ndarray, weights: np.ndarray) -> None:
-    k, l, c = weights.shape
-    with open(path, "wb") as fh:
-        fh.write(DIAGNOSTICS_MAGIC)
-        np.array([k, c, l], dtype=np.uint32).tofile(fh)
-        np.ascontiguousarray(final_cov, dtype=np.complex64).tofile(fh)
-        np.ascontiguousarray(weights, dtype=np.complex64).tofile(fh)
-
-
-def read_diagnostics(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a diagnostic sidecar; returns (final covariance (K,C,C), weights (K,L,C))."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(DIAGNOSTICS_MAGIC))
-        if magic != DIAGNOSTICS_MAGIC:
-            raise ValueError(f"not a beamformer diagnostics file: {path}")
-        k, c, l = (int(v) for v in np.fromfile(fh, dtype=np.uint32, count=3))
-        final_cov = np.fromfile(fh, dtype=np.complex64, count=k * c * c).reshape(k, c, c)
-        weights = np.fromfile(fh, dtype=np.complex64, count=k * l * c).reshape(k, l, c)
-    return final_cov, weights

@@ -17,7 +17,7 @@ from .pipeline import (
     run_pipeline,
     select_modulation_set,
 )
-from .wavio import read_wav
+from .wavio import ENCODINGS, read_wav
 
 logger = logging.getLogger(__name__)
 
@@ -138,16 +138,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="synthesize a noisy dataset")
     p_synth.add_argument("--clean-dir", required=True)
     p_synth.add_argument("--out-dir", required=True)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--snr-min", type=float, default=-20.0)
-    p_synth.add_argument("--snr-max", type=float, default=0.0)
-    p_synth.add_argument("--f0-min", type=float, default=60.0)
-    p_synth.add_argument("--f0-max", type=float, default=150.0)
-    p_synth.add_argument("--harmonics", type=int, default=10)
-    p_synth.add_argument("--correlation", type=float, default=0.9)
-    p_synth.add_argument("--envelope-rate", type=float, default=5.0)
-    p_synth.add_argument("--amplitude-decay", type=float, default=0.5)
-    p_synth.add_argument("--encoding", choices=("float32", "pcm16"), default="float32")
+    synth = SynthSettings()
+    p_synth.add_argument("--seed", type=int, default=synth.seed)
+    p_synth.add_argument("--snr-min", type=float, default=synth.snr_range[0])
+    p_synth.add_argument("--snr-max", type=float, default=synth.snr_range[1])
+    p_synth.add_argument("--f0-min", type=float, default=synth.f0_range[0])
+    p_synth.add_argument("--f0-max", type=float, default=synth.f0_range[1])
+    p_synth.add_argument("--harmonics", type=int, default=synth.num_harmonics)
+    p_synth.add_argument("--correlation", type=float, default=synth.correlation)
+    p_synth.add_argument("--envelope-rate", type=float, default=synth.envelope_rate)
+    p_synth.add_argument("--amplitude-decay", type=float, default=synth.amplitude_decay)
+    p_synth.add_argument("--encoding", choices=ENCODINGS, default=synth.encoding)
     p_synth.set_defaults(func=_cmd_synth)
 
     p_enh = sub.add_parser("enhance", help="enhance a single WAV file")

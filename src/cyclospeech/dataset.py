@@ -31,7 +31,7 @@ from .metrics import si_sdr, stoi  # noqa: F401
 from .pipeline import enhance_buffer  # noqa: F401
 from .synth import HarmonicNoiseParams, MixSpec, mix_at_snr, synth_harmonic_cs_noise
 from .stft import AudioBuffer
-from .wavio import PCM16_MAX, read_wav, write_wav
+from .wavio import ENCODINGS, PCM16_MAX, read_wav, write_wav
 
 __all__ = ["SynthSettings", "synth_dataset", "eval_dataset"]
 
@@ -68,10 +68,20 @@ class SynthSettings:
     encoding: str = "float32"
 
     def __post_init__(self):
-        if self.snr_range[0] > self.snr_range[1]:
-            raise ValueError("snr_range must be (low, high)")
-        if self.f0_range[0] > self.f0_range[1] or self.f0_range[0] <= 0:
-            raise ValueError("f0_range must be positive and ordered")
+        if not (np.isfinite(self.snr_range).all() and self.snr_range[0] <= self.snr_range[1]):
+            raise ValueError("snr_range must be finite and (low, high)")
+        if not (np.isfinite(self.f0_range).all() and 0 < self.f0_range[0] <= self.f0_range[1]):
+            raise ValueError("f0_range must be finite, positive and ordered")
+        if self.encoding not in ENCODINGS:
+            raise ValueError(f"encoding must be one of {ENCODINGS}, not {self.encoding!r}")
+        # the noise fields are checked here, before synth_dataset writes anything
+        HarmonicNoiseParams(
+            f0=self.f0_range[0],
+            num_harmonics=self.num_harmonics,
+            correlation=self.correlation,
+            envelope_rate=self.envelope_rate,
+            amplitude_decay=self.amplitude_decay,
+        )
 
 
 def synth_dataset(clean_dir, out_dir, settings: SynthSettings | None = None) -> Path:
@@ -177,12 +187,15 @@ def _eval_one(task) -> tuple[str, MetricRecord | None, str | None]:
         if not path.exists():
             return key, None, f"{row['file']}: missing {role} file {path}"
     try:
+        snr_db = float(row["snr_db"])
+        if not np.isfinite(snr_db):
+            raise ValueError(f"snr_db {row['snr_db']} is not finite")
         _, record = run_pipeline(
             mix_path,
             config,
             reference_wav=clean_path,
             file_label=row["file"],
-            input_snr_db=float(row["snr_db"]),
+            input_snr_db=snr_db,
         )
         return key, record, None
     except Exception as exc:  # noqa: BLE001 - skip reasons must be logged, not raised

@@ -39,14 +39,16 @@ class HarmonicNoiseParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.f0 <= 0:
-            raise ValueError("f0 must be positive")
+        if not 0.0 < self.f0 < np.inf:
+            raise ValueError("f0 must be positive and finite")
         if self.num_harmonics < 1:
             raise ValueError("num_harmonics must be at least 1")
         if not 0.0 <= self.correlation <= 1.0:
             raise ValueError("correlation must lie in [0, 1]")
-        if self.envelope_rate <= 0:
-            raise ValueError("envelope_rate must be positive")
+        if not 0.0 < self.envelope_rate < np.inf:
+            raise ValueError("envelope_rate must be positive and finite")
+        if not np.isfinite(self.amplitude_decay):
+            raise ValueError("amplitude_decay must be finite")
 
 
 @dataclass

@@ -15,6 +15,8 @@ logger = logging.getLogger(__name__)
 _PCM16_SCALE = 32768.0
 # Largest magnitude PCM16 stores without clipping.
 PCM16_MAX = 32767.0 / _PCM16_SCALE
+# The sample encodings write_wav accepts.
+ENCODINGS = ("float32", "pcm16")
 
 
 def read_wav(path) -> AudioBuffer:
@@ -61,5 +63,5 @@ def write_wav(path, buffer: AudioBuffer, encoding: str = "float32") -> int:
     elif encoding == "float32":
         wavfile.write(path, buffer.sample_rate, x.astype(np.float32))
     else:
-        raise ValueError(f"unknown encoding {encoding!r}; use 'pcm16' or 'float32'")
+        raise ValueError(f"unknown encoding {encoding!r}; use one of {ENCODINGS}")
     return clipped

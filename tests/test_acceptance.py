@@ -19,9 +19,7 @@ from cyclospeech import (
     estimate_modulation_set_detailed,
     eval_dataset,
     mix_at_snr,
-    read_diagnostics,
     si_sdr,
-    solve_weights,
     stft,
     istft,
     synth_dataset,
@@ -61,7 +59,7 @@ def gain_over_noisy(mixture, speech, config, clean=None):
     return out_sdr - in_sdr, out_sdr
 
 
-def test_a1_solver_matches_brute_force():
+def test_a1_solver_matches_brute_force(anchor_weights):
     rng = np.random.default_rng(101)
     start = time.perf_counter()
     worst_rel = 0.0
@@ -70,7 +68,7 @@ def test_a1_solver_matches_brute_force():
         c = int(rng.integers(2, 7))
         m = rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c))
         cov = m @ m.conj().T + 0.1 * np.eye(c)
-        w, fallback = solve_weights(cov, diag_load=1e-12)
+        w, fallback = anchor_weights(cov, diag_load=1e-12)
         assert not fallback
         kkt = np.zeros((c + 1, c + 1), dtype=complex)
         kkt[:c, :c] = cov
@@ -93,13 +91,11 @@ def test_a1_solver_matches_brute_force():
     )
 
 
-def test_a2_distortionless_and_power_minimization(tmp_path):
+def test_a2_distortionless_and_power_minimization(realized_weights):
     mixture, _, f0 = make_mixture(seed=201, snr_db=-10.0, duration=10.0)
     modset = ModulationSet((0.0, f0, 2 * f0))
     aug = build_augmented(mixture, modset, CFG)
-    diag = tmp_path / "run.diag"
-    cmpdr_process(aug, beta_x=0.95, diagnostics_path=diag)
-    _, weights = read_diagnostics(diag)  # (K, L, C)
+    _, _, weights = realized_weights(aug, beta_x=0.95)  # (K, L, C)
 
     chans = aug.channels
     n_ch, n_bins, n_frames = chans.shape

@@ -1,6 +1,3 @@
-import os
-import tempfile
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,13 +11,10 @@ from cyclospeech import (
     build_augmented,
     cmpdr_process,
     mix_at_snr,
-    read_diagnostics,
-    solve_weights,
     synth_harmonic_cs_noise,
     synth_speech_like,
 )
 from cyclospeech import beamformer
-from cyclospeech.beamformer import DIAGNOSTICS_MAGIC
 from cyclospeech.modulation import AugmentedSpectrogram
 from cyclospeech.stft import periodic_hann
 
@@ -45,16 +39,16 @@ def kkt_oracle(cov):
     return np.linalg.solve(kkt, rhs)[:c]
 
 
-def test_identity_covariance_passthrough_weights():
+def test_identity_covariance_passthrough_weights(anchor_weights):
     for c in (1, 2, 5):
-        w, fallback = solve_weights(np.eye(c, dtype=complex))
+        w, fallback = anchor_weights(np.eye(c, dtype=complex))
         assert not fallback
         assert np.allclose(w, np.eye(c)[0], atol=1e-9)
 
 
-def test_known_two_by_two_solution():
+def test_known_two_by_two_solution(anchor_weights):
     cov = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
-    w, fallback = solve_weights(cov)
+    w, fallback = anchor_weights(cov)
     assert not fallback
     assert np.allclose(w, [1.0, -0.5], atol=1e-4)
     out_power = (w.conj() @ cov @ w).real
@@ -62,20 +56,20 @@ def test_known_two_by_two_solution():
     assert out_power < 2.0  # beats the pass-through power e1^H S e1
 
 
-def test_weights_match_kkt_oracle():
+def test_weights_match_kkt_oracle(anchor_weights):
     rng = np.random.default_rng(3)
     for _ in range(200):
         c = int(rng.integers(2, 7))
         cov = random_hpd(rng, c)
-        w, fallback = solve_weights(cov, diag_load=1e-12)
+        w, fallback = anchor_weights(cov, diag_load=1e-12)
         assert not fallback
         oracle = kkt_oracle(cov)
         assert np.linalg.norm(w - oracle) <= 1e-8 * np.linalg.norm(oracle)
         assert abs(np.conj(w[0]) - 1.0) <= 1e-10  # w^H e1 = 1
 
 
-def test_singular_matrix_falls_back():
-    w, fallback = solve_weights(np.zeros((3, 3), dtype=complex))
+def test_singular_matrix_falls_back(anchor_weights):
+    w, fallback = anchor_weights(np.zeros((3, 3), dtype=complex))
     # the loading floor keeps the solve alive and returns pass-through
     assert np.allclose(w, [1.0, 0.0, 0.0], atol=1e-12)
     assert not fallback
@@ -146,40 +140,6 @@ def test_process_deterministic(cfg16k):
     assert np.array_equal(a, b)
 
 
-def test_diagnostics_sidecar_layout(tmp_path, cfg16k):
-    speech = synth_speech_like(2.0, FS, seed=23)
-    noise = synth_harmonic_cs_noise(2.0, FS, HarmonicNoiseParams(f0=97.0, seed=8))
-    mix, _ = mix_at_snr(speech, noise, MixSpec(snr_db=-5.0))
-    aug = build_augmented(mix, ModulationSet((0.0, 97.0, 194.0)), cfg16k)
-    path = tmp_path / "beamformer.diag"
-    out = cmpdr_process(aug, diagnostics_path=path)
-
-    # parse by hand, per the documented layout
-    raw = path.read_bytes()
-    assert raw[:8] == DIAGNOSTICS_MAGIC
-    k, c, l = np.frombuffer(raw, dtype=np.uint32, count=3, offset=8)
-    assert (k, c, l) == (512, 3, out.num_frames)
-    offset = 8 + 12
-    n_cov = k * c * c
-    cov = np.frombuffer(raw, dtype=np.complex64, count=n_cov, offset=offset)
-    cov = cov.reshape(k, c, c)
-    offset += n_cov * 8
-    weights = np.frombuffer(raw, dtype=np.complex64, count=k * l * c, offset=offset)
-    weights = weights.reshape(k, l, c)
-    assert offset + k * l * c * 8 == len(raw)
-
-    # helper agrees with the manual parse
-    cov2, weights2 = read_diagnostics(path)
-    assert np.array_equal(cov, cov2)
-    assert np.array_equal(weights, weights2)
-
-    # final covariance is Hermitian and the constraint holds every bin/frame
-    assert np.abs(cov - np.conj(np.transpose(cov, (0, 2, 1)))).max() <= 1e-6 * (
-        np.abs(cov).max() + 1e-30
-    )
-    assert np.abs(weights[:, :, 0] - 1.0).max() <= 1e-6  # complex64 storage
-
-
 def test_companion_cofiltering_is_linear(cfg16k):
     # filtering (speech + noise) equals filtering speech and noise separately
     # with the same weights, so companion output = main - other companion
@@ -212,15 +172,6 @@ def stack(channels):
     )
     shifts = ModulationSet(tuple(50.0 * i for i in range(c)))
     return AugmentedSpectrogram(channels=channels, modset=shifts, config=cfg)
-
-
-def process_with_diagnostics(aug, **kwargs):
-    """Run process with a sidecar; returns (output, final cov, weights)."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "bf.diag")
-        out = cmpdr_process(aug, diagnostics_path=path, **kwargs)
-        cov, weights = read_diagnostics(path)
-    return out, cov, weights
 
 
 def covariance_trajectory(chans, beta_x=0.95):
@@ -285,31 +236,31 @@ random_stacks = st.builds(
 )
 
 
-def test_covariance_converges_to_outer_product():
+def test_covariance_converges_to_outer_product(realized_weights):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
-    _, cov, _ = process_with_diagnostics(stack(np.repeat(x[:, :, None], 200, axis=2)))
+    _, cov, _ = realized_weights(stack(np.repeat(x[:, :, None], 200, axis=2)))
     target = x.T[:, :, None] * np.conj(x.T[:, None, :])
     assert np.linalg.norm(cov - target) <= 1e-4 * np.linalg.norm(target)
 
 
-def test_zero_frame_scales_previous_covariance():
+def test_zero_frame_scales_previous_covariance(realized_weights):
     rng = np.random.default_rng(1)
     chans = rng.standard_normal((3, 8, 40)) + 1j * rng.standard_normal((3, 8, 40))
-    _, prev, prev_weights = process_with_diagnostics(stack(chans))
+    _, prev, prev_weights = realized_weights(stack(chans))
     padded = np.concatenate([chans, np.zeros((3, 8, 1))], axis=2)
-    _, cov, weights = process_with_diagnostics(stack(padded))
-    # complex64 storage: one rounding on each side
+    _, cov, weights = realized_weights(stack(padded))
+    # within complex64 rounding on each side
     assert np.allclose(cov, 0.95 * prev, rtol=3e-7, atol=0.0)
     # a zero frame only rescales P, so the weights carry over
     assert np.allclose(weights[:, 40], prev_weights[:, 39], rtol=3e-7, atol=0.0)
 
 
-def test_covariance_stays_hermitian_psd():
+def test_covariance_stays_hermitian_psd(realized_weights):
     rng = np.random.default_rng(2)
     chans = rng.standard_normal((5, 8, 50)) + 1j * rng.standard_normal((5, 8, 50))
     for frames in (1, 2, 5, 33, 50):
-        _, cov, _ = process_with_diagnostics(stack(chans[:, :, :frames]))
+        _, cov, _ = realized_weights(stack(chans[:, :, :frames]))
         scale = np.abs(cov).max()
         assert np.abs(cov - np.conj(np.transpose(cov, (0, 2, 1)))).max() <= 1e-7 * scale
         eigs = np.linalg.eigvalsh(cov.astype(complex))
@@ -351,8 +302,8 @@ def test_default_anchoring_matches_direct_solve(chans, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(chans=random_stacks)
-def test_tracked_weights_distortionless_and_power_bounded(chans):
-    _, _, weights = process_with_diagnostics(stack(chans))
+def test_tracked_weights_distortionless_and_power_bounded(realized_weights, chans):
+    _, _, weights = realized_weights(stack(chans))
     assert np.all(weights[:, :, 0] == 1)
     assert_power_bound(chans, weights)
 
@@ -394,27 +345,27 @@ def test_output_does_not_depend_on_stack_layout(chans, seed):
     assert np.array_equal(comp_c.data, comp_f.data)
 
 
-def test_all_zero_stack_passes_through():
-    out, cov, weights = process_with_diagnostics(stack(np.zeros((3, 16, 100), dtype=complex)))
+def test_all_zero_stack_passes_through(realized_weights):
+    out, cov, weights = realized_weights(stack(np.zeros((3, 16, 100), dtype=complex)))
     assert np.all(out.data == 0)
     assert np.all(cov == 0)
     assert np.all(weights == np.array([1.0, 0.0, 0.0], dtype=np.complex64))
 
 
-def test_loud_onset_after_silence_stays_finite():
+def test_loud_onset_after_silence_stays_finite(realized_weights):
     chans = np.zeros((4, 16, 200), dtype=complex)
     chans[:, :, 100:] = 1e6 * random_channels(4, 16, 100, seed=11)
-    out, _, weights = process_with_diagnostics(stack(chans))
+    out, _, weights = realized_weights(stack(chans))
     assert np.isfinite(out.data).all()
     assert np.isfinite(weights).all()
     assert_power_bound(chans, weights)
 
 
-def test_non_finite_bin_is_contained():
+def test_non_finite_bin_is_contained(realized_weights):
     chans = random_channels(3, 16, 150, seed=12)
     ref = cmpdr_process(stack(chans)).data
     chans[1, 5, 70] = np.nan
-    out, _, weights = process_with_diagnostics(stack(chans))
+    out, _, weights = realized_weights(stack(chans))
     out = out.data
     others = np.arange(16) != 5
     assert np.array_equal(out[others], ref[others])
@@ -462,15 +413,9 @@ def test_blocks_with_a_carried_state_equal_one_call(c, k, l, seed, data):
     )
 
 
-def test_state_rejects_a_sidecar_and_a_block_of_another_shape(tmp_path):
+def test_state_rejects_a_block_of_another_shape():
     state = beamformer.CmpdrState()
     cmpdr_process(stack(random_channels(3, 8, 20, seed=1)), state=state)
-    with pytest.raises(ValueError, match="diagnostics_path"):
-        cmpdr_process(
-            stack(random_channels(3, 8, 20, seed=2)),
-            diagnostics_path=tmp_path / "bf.diag",
-            state=state,
-        )
     for c, k in ((4, 8), (3, 16)):
         with pytest.raises(ValueError, match="does not continue"):
             cmpdr_process(stack(random_channels(c, k, 20, seed=3)), state=state)

@@ -43,7 +43,7 @@ def test_synth_dataset_layout_and_determinism(tmp_path):
     manifest_a = synth_dataset(clean_dir, out_a, settings)
     manifest_b = synth_dataset(clean_dir, out_b, settings)
     assert digest(manifest_a) == digest(manifest_b)
-    rows = list(csv.DictReader(open(manifest_a, encoding="utf-8")))
+    rows = list(csv.DictReader(manifest_a.read_text(encoding="utf-8").splitlines()))
     assert len(rows) == 2
     for row in rows:
         assert 60.0 <= float(row["f0_hz"]) <= 150.0
@@ -65,7 +65,7 @@ def test_pcm16_synthesis_scales_each_triple_to_fit(tmp_path):
     clean_dir = make_clean_dir(tmp_path, count=3, duration=4.0)
     settings = SynthSettings(seed=1, snr_range=(-20.0, -20.0), encoding="pcm16")
     manifest = synth_dataset(clean_dir, tmp_path / "ds", settings)
-    rows = list(csv.DictReader(open(manifest, encoding="utf-8")))
+    rows = list(csv.DictReader(manifest.read_text(encoding="utf-8").splitlines()))
     assert len(rows) == 3
     for row in rows:
         clean, noise, mix = (
@@ -101,7 +101,7 @@ def test_eval_dataset_rows_and_identity_neutrality(tmp_path, cfg16k):
     assert (tmp_path / "res" / "aggregate.csv").exists()
     assert (tmp_path / "res" / "curves.csv").exists()
 
-    rows = list(csv.DictReader(open(ds / "manifest.csv", encoding="utf-8")))
+    rows = list(csv.DictReader((ds / "manifest.csv").read_text(encoding="utf-8").splitlines()))
     for row in rows:
         mix = read_wav(ds / row["mix_path"])
         clean = read_wav(ds / row["clean_path"])
@@ -124,6 +124,25 @@ def test_eval_dataset_missing_reference_skipped_loudly(tmp_path):
     assert "missing reference" in skips[0]
     log_text = (tmp_path / "res" / "skipped.log").read_text(encoding="utf-8")
     assert "missing reference" in log_text
+
+
+def test_eval_dataset_skips_a_non_finite_snr_row(tmp_path):
+    clean_dir = make_clean_dir(tmp_path)
+    ds = tmp_path / "ds"
+    manifest = synth_dataset(clean_dir, ds, SynthSettings(seed=4))
+    rows = list(csv.DictReader(manifest.read_text(encoding="utf-8").splitlines()))
+    rows[0]["snr_db"] = "nan"
+    with open(manifest, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    res = tmp_path / "res"
+    records, skips = eval_dataset(ds, [PipelineConfig(preproc="id")], out_dir=res)
+    assert [r.file for r in records] == [rows[1]["file"]]
+    assert len(skips) == 1 and rows[0]["file"] in skips[0] and "snr_db" in skips[0]
+    assert (res / "skipped.log").read_text(encoding="utf-8") == skips[0] + "\n"
+    for name in ("metrics.csv", "aggregate.csv", "curves.csv", "skipped.log"):
+        assert (res / name).exists()
 
 
 def test_eval_dataset_parallel_matches_serial(tmp_path):
@@ -194,6 +213,14 @@ def test_cli_synth_enhance_eval_modset(tmp_path, capsys):
     rc = cli_main(["modset", str(mix)])
     assert rc == 0
     assert "modulation set [Hz]: 0" in capsys.readouterr().out
+
+
+def test_cli_synth_defaults_are_the_settings_defaults(tmp_path):
+    clean_dir = make_clean_dir(tmp_path, count=1, duration=1.0)
+    rc = cli_main(["synth", "--clean-dir", str(clean_dir), "--out-dir", str(tmp_path / "cli")])
+    assert rc == 0
+    manifest = synth_dataset(clean_dir, tmp_path / "lib", SynthSettings())
+    assert digest(tmp_path / "cli" / "manifest.csv") == digest(manifest)
 
 
 def test_cli_errors_return_nonzero(tmp_path, capsys):

@@ -11,6 +11,7 @@ from cyclospeech import (
     synth_speech_like,
     welch_periodogram,
 )
+from cyclospeech.dataset import SynthSettings
 
 FS = 16000
 WELCH_RES = FS / 4096
@@ -110,3 +111,32 @@ def test_speech_like_signal_properties():
     frames = a.samples[: len(a) // 800 * 800].reshape(-1, 800)
     frame_rms = np.sqrt(np.mean(frames**2, axis=1))
     assert frame_rms.min() < 0.01 * frame_rms.max()
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HarmonicNoiseParams(f0=NAN),
+        lambda: HarmonicNoiseParams(f0=100.0, envelope_rate=NAN),
+        lambda: HarmonicNoiseParams(f0=100.0, amplitude_decay=NAN),
+        lambda: SynthSettings(f0_range=(NAN, NAN)),
+        lambda: SynthSettings(snr_range=(NAN, 0.0)),
+        lambda: SynthSettings(encoding="pcm24"),
+        lambda: SynthSettings(amplitude_decay=NAN),
+    ],
+    ids=[
+        "f0",
+        "envelope_rate",
+        "amplitude_decay",
+        "f0_range",
+        "snr_range",
+        "encoding",
+        "settings_amplitude_decay",
+    ],
+)
+def test_non_finite_or_unknown_synth_parameters_refused(build):
+    with pytest.raises(ValueError):
+        build()

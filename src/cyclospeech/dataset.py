@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import modset
 from .metrics import (
     MetricRecord,
     aggregate,
@@ -212,17 +213,22 @@ def eval_dataset(
 
     Writes metrics.csv, aggregate.csv, curves.csv and skipped.log under
     ``out_dir`` (defaults to the dataset directory). Rows are sorted by
-    (file, preproc, mask) regardless of worker completion order.
+    (file, preproc, mask) regardless of worker completion order. The pool
+    has min(``workers``, tasks) processes, and each scores modulation-set
+    candidates on its share of the usable CPUs; a serial run uses them all.
     """
     if not configs:
         raise ValueError("need at least one pipeline config")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     dataset_dir = Path(dataset_dir)
     out_dir = Path(out_dir) if out_dir is not None else dataset_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = _read_manifest(dataset_dir)
     tasks = [(str(dataset_dir), row, config) for row in rows for config in configs]
 
-    if workers > 1:
+    pool_size = min(workers, len(tasks))
+    if pool_size > 1:
         # Forked workers inherit the modules loaded here: load scipy.signal
         # (estimation, STOI), scipy.ndimage (the Wiener noise tracker) and
         # scipy.io.wavfile (WAV I/O), which the library imports on first use,
@@ -231,7 +237,11 @@ def eval_dataset(
         import scipy.ndimage  # noqa: F401
         import scipy.signal  # noqa: F401
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=pool_size,
+            initializer=modset._set_thread_budget,
+            initargs=(max(1, modset._usable_cpus() // pool_size),),
+        ) as pool:
             outcomes = list(pool.map(_eval_one, tasks))
     else:
         outcomes = [_eval_one(t) for t in tasks]

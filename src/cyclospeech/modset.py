@@ -26,6 +26,8 @@ candidate.
 from __future__ import annotations
 
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +62,24 @@ MIN_DURATION_SEC = 2.0
 # Relative distance from the refinement spectrum's peak within which points
 # count as tied; far above the chirp-z rounding (about 1e-11 relative).
 SHIFT_TIE_RTOL = 1e-9
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Threads one estimate may score candidates on. The candidates are independent
+# and their FFT and ufunc work releases the GIL, so an idle CPU is a helper;
+# eval's pool workers lower this to their share of the CPUs.
+_thread_budget = _usable_cpus()
+
+
+def _set_thread_budget(threads: int) -> None:
+    global _thread_budget
+    _thread_budget = threads
 
 
 @dataclass
@@ -336,14 +356,39 @@ def _refine_shift(
     alpha: float,
     cfg: StftConfig,
     search: _ShiftSearch,
+    out: np.ndarray | None = None,
 ) -> float:
     """Correct a coarse candidate shift by the rotation frequency of the
-    per-frame cross products, searched over ``search``'s window."""
-    shifted = stft(modulate(signal, alpha), cfg).data
+    per-frame cross products, searched over ``search``'s window. ``out`` is
+    an STFT buffer (see ``stft``), free again on return."""
+    shifted = stft(modulate(signal, alpha), cfg, out=out).data
     top, _ = _top_support_bins(e_base, _bin_energy(shifted))
     # rotates at (true - alpha) Hz
     products = _rows(base, top) * np.conj(_rows(shifted, top))
     return alpha + search.best_offset(products)
+
+
+def _in_threads(score, candidates: list[float], buffer_shape) -> list[CoherenceReport]:
+    """``score(candidate, buffer)`` for every candidate, in candidate order.
+
+    Candidates are dealt out by stride over n = min(candidates, budget)
+    threads: the calling thread scores every n-th one itself and n - 1
+    helpers, joined before return, score the rest. Each thread reuses one
+    complex128 STFT buffer of ``buffer_shape``. A report depends on its
+    candidate only, so the reports are the same for any n.
+    """
+    n = min(len(candidates), _thread_budget)
+    buffers = [np.empty(buffer_shape, dtype=np.complex128) for _ in range(n)]
+
+    def share(first: int) -> list[CoherenceReport]:
+        return [score(cand, buffers[first]) for cand in candidates[first::n]]
+
+    if n == 1:
+        return share(0)
+    with ThreadPoolExecutor(max_workers=n - 1) as pool:
+        helpers = [pool.submit(share, first) for first in range(1, n)]
+        shares = [share(0)] + [h.result() for h in helpers]
+    return [shares[i % n][i // n] for i in range(len(candidates))]
 
 
 def estimate_modulation_set_detailed(
@@ -363,6 +408,10 @@ def estimate_modulation_set_detailed(
     smallest surviving shift is always kept: it is the fundamental of the
     dominant harmonic family, and pairs every noise harmonic with its direct
     neighbour; the remaining slots are filled by coherence rank.
+
+    Candidates are scored on as many threads as there are usable CPUs
+    (``eval``'s pool workers use their share of them); the set and every
+    report are the same for any thread count.
 
     Raises ``ValueError`` on a NaN or infinite sample, naming its index, and
     on a recording shorter than ``MIN_DURATION_SEC`` (2 s). On
@@ -390,14 +439,17 @@ def estimate_modulation_set_detailed(
         base = stft(signal, cfg).data
         e_base = _bin_energy(base)
         search = _ShiftSearch(base.shape[1], cfg, search_hz=resolution)
-        for cand in candidates:
-            refined = _refine_shift(base, e_base, signal, cand, cfg, search)
+
+        def score(cand: float, out: np.ndarray) -> CoherenceReport:
+            refined = _refine_shift(base, e_base, signal, cand, cfg, search, out)
             if not 0.0 < refined < signal.sample_rate / 2:
                 refined = cand
-            shifted = stft(modulate(signal, refined), cfg).data
+            shifted = stft(modulate(signal, refined), cfg, out=out).data
             coh = _coherence_between(base, e_base, shifted)
             accepted = coh >= coherence_threshold and refined >= min_shift_hz
-            reports.append(CoherenceReport(refined, coh, accepted, coarse_hz=cand))
+            return CoherenceReport(refined, coh, accepted, coarse_hz=cand)
+
+        reports = _in_threads(score, candidates, base.T.shape)
     accepted = [r for r in reports if r.accepted]
     ranked = sorted(accepted, key=lambda r: r.coherence, reverse=True)
     if accepted:

@@ -14,6 +14,7 @@ spectrally coherent, which defeats the parameter's purpose.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,12 @@ class HarmonicNoiseParams:
     def __post_init__(self):
         if not 0.0 < self.f0 < np.inf:
             raise ValueError("f0 must be positive and finite")
+        if isinstance(self.num_harmonics, bool) or not isinstance(
+            self.num_harmonics, numbers.Integral
+        ):
+            raise ValueError(
+                f"num_harmonics must be an integer, not {self.num_harmonics!r}"
+            )
         if self.num_harmonics < 1:
             raise ValueError("num_harmonics must be at least 1")
         if not 0.0 <= self.correlation <= 1.0:

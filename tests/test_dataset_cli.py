@@ -16,6 +16,7 @@ from cyclospeech import (
     trim_edges,
     write_wav,
 )
+from cyclospeech import modset
 from cyclospeech.cli import _build_config, build_parser
 from cyclospeech.cli import main as cli_main
 from cyclospeech.dataset import SynthSettings
@@ -145,16 +146,35 @@ def test_eval_dataset_skips_a_non_finite_snr_row(tmp_path):
         assert (res / name).exists()
 
 
-def test_eval_dataset_parallel_matches_serial(tmp_path):
+def test_eval_dataset_parallel_matches_serial(tmp_path, monkeypatch):
     clean_dir = make_clean_dir(tmp_path, count=2)
     ds = tmp_path / "ds"
     synth_dataset(clean_dir, ds, SynthSettings(seed=5))
-    config = [PipelineConfig(preproc="id")]
-    eval_dataset(ds, config, out_dir=tmp_path / "serial", workers=1)
+    # cmpdr estimates its set: the serial run scores candidates on 2 threads,
+    # the 2 pool workers share 2 CPUs and so score them on 1 thread each
+    config = [PipelineConfig(preproc="id"), PipelineConfig(preproc="cmpdr")]
+    monkeypatch.setattr(modset, "_thread_budget", 2)
+    monkeypatch.setattr(modset, "_usable_cpus", lambda: 2)
+    records, _ = eval_dataset(ds, config, out_dir=tmp_path / "serial", workers=1)
+    assert sum(r.preproc == "cmpdr" for r in records) == 2
     eval_dataset(ds, config, out_dir=tmp_path / "parallel", workers=2)
     assert digest(tmp_path / "serial" / "metrics.csv") == digest(
         tmp_path / "parallel" / "metrics.csv"
     )
+
+
+@pytest.mark.parametrize("workers", (0, -3))
+def test_eval_dataset_refuses_fewer_than_one_worker(tmp_path, capsys, workers):
+    clean_dir = make_clean_dir(tmp_path, count=1)
+    ds = tmp_path / "ds"
+    synth_dataset(clean_dir, ds, SynthSettings(seed=5))
+    config = [PipelineConfig(preproc="id")]
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        eval_dataset(ds, config, out_dir=tmp_path / "res", workers=workers)
+    assert not (tmp_path / "res").exists()
+    rc = cli_main(["eval", "--dataset-dir", str(ds), "--workers", str(workers)])
+    assert rc == 2
+    assert f"got {workers}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))

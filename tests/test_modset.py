@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,14 +9,18 @@ from hypothesis import strategies as st
 from cyclospeech import (
     AudioBuffer,
     HarmonicNoiseParams,
+    MixSpec,
     PeakList,
     candidate_modulations,
     estimate_modulation_set_detailed,
+    mix_at_snr,
     pick_peaks,
     spectral_coherence,
     synth_harmonic_cs_noise,
+    synth_speech_like,
     welch_periodogram,
 )
+from cyclospeech import modset as modset_module
 from cyclospeech.modset import (
     _bin_cross,
     _bin_energy,
@@ -249,6 +256,51 @@ def test_estimate_deterministic(cfg16k, cs_noise_10s):
     a = estimate_modulation_set_detailed(cs_noise_10s, cfg16k)[0]
     b = estimate_modulation_set_detailed(cs_noise_10s, cfg16k)[0]
     assert a.shifts == b.shifts
+
+
+def _harmonic_mixture():
+    speech = synth_speech_like(5.0, FS, seed=3)
+    noise = synth_harmonic_cs_noise(5.0, FS, HarmonicNoiseParams(f0=97.3, seed=4))
+    return mix_at_snr(speech, noise, MixSpec(snr_db=-10.0))[0], {}
+
+
+def _white_noise():
+    # one Welch segment keeps the periodogram's chance peaks: 15 candidates
+    samples = np.random.default_rng(0).standard_normal(int(2.5 * FS))
+    return AudioBuffer(samples, FS), {"peak_count": 6, "seg_len": 32768}
+
+
+@pytest.mark.parametrize("make", (_harmonic_mixture, _white_noise), ids=("harmonic", "white"))
+def test_reports_do_not_depend_on_the_thread_budget(cfg16k, monkeypatch, make):
+    signal, kwargs = make()
+    callers = set()
+    modulate_in_module = modset_module.modulate
+
+    def recording_modulate(*args, **kw):
+        callers.add(threading.get_ident())
+        return modulate_in_module(*args, **kw)
+
+    monkeypatch.setattr(modset_module, "modulate", recording_modulate)
+    outcomes = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads as finely as possible
+    try:
+        for budget in (1, 2, 100):
+            monkeypatch.setattr(modset_module, "_thread_budget", budget)
+            callers.clear()
+            threads = threading.active_count()
+            modset, reports = estimate_modulation_set_detailed(signal, cfg16k, **kwargs)
+            assert threading.active_count() == threads
+            if budget <= 2:
+                assert len(callers) == budget
+            else:  # an idle helper may take a further share
+                assert 2 <= len(callers) <= len(reports)
+            outcomes[budget] = (modset.shifts, reports)
+    finally:
+        sys.setswitchinterval(interval)
+    candidates = len(outcomes[1][1])
+    assert 2 < candidates < 100
+    assert outcomes[2] == outcomes[1] and outcomes[100] == outcomes[1]
 
 
 def _full_grid_offset(products, cfg, search_hz):

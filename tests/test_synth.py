@@ -61,6 +61,21 @@ def test_param_validation():
         HarmonicNoiseParams(f0=100.0, num_harmonics=0)
 
 
+@pytest.mark.parametrize("count", (2.5, 3.0, True, "3"))
+def test_non_integer_num_harmonics_refused(count):
+    with pytest.raises(ValueError, match="num_harmonics must be an integer"):
+        HarmonicNoiseParams(f0=100.0, num_harmonics=count)
+    # through the settings, before synth_dataset could create a directory
+    with pytest.raises(ValueError, match="num_harmonics must be an integer"):
+        SynthSettings(num_harmonics=count)
+
+
+def test_integer_num_harmonics_of_any_integer_type_accepted():
+    for count in (3, np.int64(3)):
+        params = HarmonicNoiseParams(f0=100.0, num_harmonics=count, seed=2)
+        assert len(synth_harmonic_cs_noise(0.5, FS, params)) == FS // 2
+
+
 def test_generated_noise_is_cyclostationary(cfg16k):
     # correlated envelopes make the f0 shift coherent; uncorrelated ones do not
     high, low = [], []

@@ -50,14 +50,14 @@ class MinStatsState:
     from one block of frames of a recording to the next.
 
     ``min_stats_noise_psd(block, state=state)`` advances it over a block, and
-    ``wiener_gain(block, ..., state=state)`` then reads the seed that block
-    started from. Over consecutive blocks, in order, the two give the whole
+    ``wiener_gain(block, ..., state=state)`` then reads that block's smoothed
+    power from it. Over consecutive blocks, in order, the two give the whole
     recording's values bit for bit.
     """
 
     num_frames: int  # frames of the whole recording
     tail: np.ndarray | None = None  # trailing smoothed frames the minimum reads
-    seed: np.ndarray | None = None  # smoothed power before the current block
+    smoothed: np.ndarray | None = None  # smoothed power of the last block
 
 
 def min_stats_noise_psd(
@@ -90,10 +90,8 @@ def min_stats_noise_psd(
     from scipy.ndimage import minimum_filter1d
 
     tail = None if state is None else state.tail
-    seed = None if tail is None else tail[:, -1]
-    smoothed = _smoothed_power(noisy.data, smooth_alpha, seed)
-    if tail is not None:
-        smoothed = np.concatenate([tail, smoothed], axis=1)
+    block = _smoothed_power(noisy.data, smooth_alpha, None if tail is None else tail[:, -1])
+    smoothed = block if tail is None else np.concatenate([tail, block], axis=1)
     # trailing minimum: nearest-edge padding only ever repeats the first
     # frame, which is already inside every early window
     floor = minimum_filter1d(
@@ -103,7 +101,7 @@ def min_stats_noise_psd(
     if state is not None:
         # the next block's minimum reads up to win_frames - 1 frames back,
         # and its recursion continues from the last one
-        state.seed = seed
+        state.smoothed = block
         state.tail = smoothed[:, -max(win_frames - 1, 1) :].copy()
     return bias * floor[:, floor.shape[1] - noisy.num_frames :]
 
@@ -117,7 +115,8 @@ def wiener_gain(
 ) -> np.ndarray:
     """Spectral-subtraction style Wiener gain G = max(1 - N/P, floor), with P
     the recursively smoothed noisy power (same constant as the tracker). With
-    ``state``, the block ``min_stats_noise_psd`` advanced it over last."""
+    ``state``, ``noisy`` is the block ``min_stats_noise_psd`` advanced it over
+    last, and P is the smoothed power that call left there."""
     if not 0.0 < gain_floor < 1.0:
         raise ValueError("gain_floor must lie strictly between 0 and 1")
     noise_psd = np.asarray(noise_psd)
@@ -126,9 +125,7 @@ def wiener_gain(
             f"noise PSD shape {noise_psd.shape} does not match "
             f"spectrogram shape {noisy.shape}"
         )
-    smoothed = _smoothed_power(
-        noisy.data, smooth_alpha, None if state is None else state.seed
-    )
+    smoothed = _smoothed_power(noisy.data, smooth_alpha) if state is None else state.smoothed
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = 1.0 - noise_psd / smoothed
     gain[~np.isfinite(gain)] = 0.0

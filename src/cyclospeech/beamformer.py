@@ -170,8 +170,9 @@ def process(
     frames = chans.transpose(0, 2, 1)
     frames_comp = companion.channels.transpose(0, 2, 1) if companion is not None else None
     if c == 1:
-        out = frames[0].T.copy()
-        out_comp = frames_comp[0].T.copy() if companion is not None else None
+        # frame-major copies, the layout stft returns
+        out = frames[0].copy().T
+        out_comp = frames_comp[0].copy().T if companion is not None else None
         state.frame += l
     else:
         out, out_comp = _recursion(state, frames, frames_comp, beta_x, diag_load)

@@ -105,11 +105,11 @@ def _cmd_eval(args) -> int:
             raise PipelineError("config", f"bad --pipeline spec {spec!r}; use preproc:mask")
         configs.append(replace(base, preproc=preproc, mask=mask))
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.dataset_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _log_config(base, out_dir / "run.log")
     records, skips = eval_dataset(
         args.dataset_dir, configs, out_dir=out_dir, workers=args.workers
     )
+    # only now: eval_dataset refuses bad input before creating anything
+    _log_config(base, out_dir / "run.log")
     print(f"evaluated {len(records)} records ({len(skips)} skipped) -> {out_dir}")
     return 0
 

@@ -75,9 +75,11 @@ class SynthSettings:
             raise ValueError("f0_range must be finite, positive and ordered")
         if self.encoding not in ENCODINGS:
             raise ValueError(f"encoding must be one of {ENCODINGS}, not {self.encoding!r}")
-        # the noise fields are checked here, before synth_dataset writes anything
+        # the seed and the noise fields are checked here, before synth_dataset
+        # writes anything
         HarmonicNoiseParams(
             f0=self.f0_range[0],
+            seed=self.seed,
             num_harmonics=self.num_harmonics,
             correlation=self.correlation,
             envelope_rate=self.envelope_rate,
@@ -222,10 +224,10 @@ def eval_dataset(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     dataset_dir = Path(dataset_dir)
-    out_dir = Path(out_dir) if out_dir is not None else dataset_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = _read_manifest(dataset_dir)
     tasks = [(str(dataset_dir), row, config) for row in rows for config in configs]
+    out_dir = Path(out_dir) if out_dir is not None else dataset_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     pool_size = min(workers, len(tasks))
     if pool_size > 1:

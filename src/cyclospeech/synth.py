@@ -30,6 +30,12 @@ __all__ = [
 ]
 
 
+def _require_int(name: str, value, low: int) -> None:
+    """Refuse a ``value`` that is not an integer (a bool is not) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer of at least {low}, not {value!r}")
+
+
 @dataclass
 class HarmonicNoiseParams:
     f0: float
@@ -42,14 +48,8 @@ class HarmonicNoiseParams:
     def __post_init__(self):
         if not 0.0 < self.f0 < np.inf:
             raise ValueError("f0 must be positive and finite")
-        if isinstance(self.num_harmonics, bool) or not isinstance(
-            self.num_harmonics, numbers.Integral
-        ):
-            raise ValueError(
-                f"num_harmonics must be an integer, not {self.num_harmonics!r}"
-            )
-        if self.num_harmonics < 1:
-            raise ValueError("num_harmonics must be at least 1")
+        _require_int("num_harmonics", self.num_harmonics, 1)
+        _require_int("seed", self.seed, 0)
         if not 0.0 <= self.correlation <= 1.0:
             raise ValueError("correlation must lie in [0, 1]")
         if not 0.0 < self.envelope_rate < np.inf:

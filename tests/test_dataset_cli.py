@@ -172,9 +172,23 @@ def test_eval_dataset_refuses_fewer_than_one_worker(tmp_path, capsys, workers):
     with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
         eval_dataset(ds, config, out_dir=tmp_path / "res", workers=workers)
     assert not (tmp_path / "res").exists()
-    rc = cli_main(["eval", "--dataset-dir", str(ds), "--workers", str(workers)])
+    argv = ["eval", "--dataset-dir", str(ds), "--out-dir", str(tmp_path / "res")]
+    rc = cli_main(argv + ["--workers", str(workers)])
     assert rc == 2
     assert f"got {workers}" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
+def test_synth_refuses_a_bad_seed(tmp_path, capsys):
+    for seed in (-1, 2.5, True):
+        with pytest.raises(ValueError, match="seed"):
+            SynthSettings(seed=seed)
+    clean_dir = make_clean_dir(tmp_path, count=1, duration=1.0)
+    out = tmp_path / "ds"
+    argv = ["synth", "--clean-dir", str(clean_dir), "--out-dir", str(out), "--seed", "-1"]
+    assert cli_main(argv) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
@@ -253,6 +267,11 @@ def test_cli_errors_return_nonzero(tmp_path, capsys):
     cli_main(["synth", "--clean-dir", str(clean_dir), "--out-dir", str(ds)])
     rc = cli_main(["eval", "--dataset-dir", str(ds), "--pipeline", "bogus"])
     assert rc == 2
+    # a directory without a manifest is refused before anything is created
+    argv = ["eval", "--dataset-dir", str(clean_dir), "--out-dir", str(tmp_path / "res")]
+    assert cli_main(argv) == 2
+    assert "manifest" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
 
 
 def test_cli_enhance_and_modset_at_44k(tmp_path, capsys):
@@ -349,17 +368,18 @@ def test_eval_short_clip_scores_id_and_skips_cmpdr_with_stage(tmp_path):
 
 
 # Values outside the range each field admits, one entry per field: ends of
-# open intervals, NaN, unknown choices, and shift sets that are no set.
+# open intervals, NaN, unknown choices, non-integers for integer fields, and
+# shift sets that are no set.
 OUT_OF_RANGE = {
-    "sample_rate": (0, -8000),
+    "sample_rate": (0, -8000, 16000.5),
     "preproc": ("dnn",),
     "mask": ("learned",),
     "beta_x": (0.0, 1.0, float("nan")),
     "diag_load": (0.0, -1e-6),
-    "peak_count": (0,),
+    "peak_count": (0, 2.5),
     "coherence_threshold": (-0.1, 1.5),
-    "max_shifts": (0,),
-    "welch_seg": (0, 1),
+    "max_shifts": (0, True),
+    "welch_seg": (0, 1, 4096.5),
     "welch_overlap": (-0.1, 1.0, 1.5),
     "ms_window_sec": (0.0, -1.0),
     "ms_alpha": (0.0, 1.0, 2.0),
@@ -380,8 +400,12 @@ def test_out_of_range_value_refused_by_constructor_and_flag(field, tmp_path, cap
         with pytest.raises(ValueError, match=name):
             PipelineConfig(**{name: value})
         argv = ["modset", str(tmp_path / "in.wav"), f"{_flag(name)}={_flag_text(value)}"]
-        assert cli_main(argv) == 2
-        assert name in capsys.readouterr().err
+        try:
+            status, named = cli_main(argv), name
+        except SystemExit as exc:  # the flag's parser refuses a non-integer itself
+            status, named = exc.code, _flag(name)
+        assert status == 2
+        assert named in capsys.readouterr().err
 
 
 def test_modset_output_pastes_back_into_the_flag(tmp_path, capsys):

@@ -23,6 +23,8 @@ from cyclospeech import (
     PipelineError,
     default_stft_config,
     enhance_buffer,
+    istft,
+    min_stats_noise_psd,
     mix_at_snr,
     read_wav,
     run_pipeline,
@@ -31,6 +33,7 @@ from cyclospeech import (
     synth_harmonic_cs_noise,
     synth_speech_like,
     trim_edges,
+    wiener_gain,
     write_wav,
 )
 
@@ -196,7 +199,7 @@ FIVE_SHIFTS = PipelineConfig(mask="oracle-irm", forced_modset=tuple(97.0 * p for
     ids=lambda c: c.label(),
 )
 def test_output_does_not_depend_on_the_block_length(config, monkeypatch):
-    # 626 frames: two default blocks, and the Wiener window (188 frames)
+    # 628 frames: two default blocks, and the Wiener window (188 frames)
     # spans several 64-frame blocks
     mix, speech = _mixture(5.0, seed=70)
     ref = enhance_buffer(mix, config, clean=speech).enhanced.samples
@@ -204,6 +207,19 @@ def test_output_does_not_depend_on_the_block_length(config, monkeypatch):
         monkeypatch.setattr(cyclospeech.pipeline, "_STREAM_FRAMES", frames)
         out = enhance_buffer(mix, config, clean=speech).enhanced.samples
         assert np.array_equal(out, ref), frames
+
+
+def test_id_and_wiener_equal_their_whole_signal_references():
+    # 628 frames, so two blocks, against state-free whole-signal calls
+    mix, _ = _mixture(5.0, seed=72)
+    x = stft(mix, default_stft_config(FS))
+    assert x.num_frames == 628
+    gain = wiener_gain(x, min_stats_noise_psd(x))
+    wiener = istft(replace(x, data=gain * x.data)).real()
+    got = enhance_buffer(mix, PipelineConfig(preproc="wiener")).enhanced
+    assert np.array_equal(got.samples, wiener.samples)
+    got = enhance_buffer(mix, PipelineConfig(preproc="id")).enhanced
+    assert np.array_equal(got.samples, istft(x).real().samples)
 
 
 def test_enhance_peak_memory_does_not_grow_with_input_length():

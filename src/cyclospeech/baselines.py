@@ -116,7 +116,8 @@ def wiener_gain(
     """Spectral-subtraction style Wiener gain G = max(1 - N/P, floor), with P
     the recursively smoothed noisy power (same constant as the tracker). With
     ``state``, ``noisy`` is the block ``min_stats_noise_psd`` advanced it over
-    last, and P is the smoothed power that call left there."""
+    last, and P is the smoothed power that call left there: ``noisy.data``
+    and ``smooth_alpha`` are then not read."""
     if not 0.0 < gain_floor < 1.0:
         raise ValueError("gain_floor must lie strictly between 0 and 1")
     noise_psd = np.asarray(noise_psd)
@@ -126,6 +127,11 @@ def wiener_gain(
             f"spectrogram shape {noisy.shape}"
         )
     smoothed = _smoothed_power(noisy.data, smooth_alpha) if state is None else state.smoothed
+    if smoothed is None or smoothed.shape != noisy.shape:
+        raise ValueError(
+            f"state holds no smoothed power for a {noisy.shape} block; advance it "
+            "over this block with min_stats_noise_psd first"
+        )
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = 1.0 - noise_psd / smoothed
     gain[~np.isfinite(gain)] = 0.0

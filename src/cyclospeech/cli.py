@@ -55,9 +55,9 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return replace(config, **overrides)
 
 
-def _log_config(config: PipelineConfig, log_path=None) -> None:
+def _log_config(config: PipelineConfig, log_path=None, echo: bool = True) -> None:
     lines = [f"{k}={v}" for k, v in config.as_mapping().items()]
-    for line in lines:
+    for line in lines if echo else ():
         logger.info("config %s", line)
     if log_path is not None:
         with open(log_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -105,11 +105,12 @@ def _cmd_eval(args) -> int:
             raise PipelineError("config", f"bad --pipeline spec {spec!r}; use preproc:mask")
         configs.append(replace(base, preproc=preproc, mask=mask))
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.dataset_dir)
+    _log_config(base)
     records, skips = eval_dataset(
         args.dataset_dir, configs, out_dir=out_dir, workers=args.workers
     )
-    # only now: eval_dataset refuses bad input before creating anything
-    _log_config(base, out_dir / "run.log")
+    # the file only now: eval_dataset refuses bad input before creating anything
+    _log_config(base, out_dir / "run.log", echo=False)
     print(f"evaluated {len(records)} records ({len(skips)} skipped) -> {out_dir}")
     return 0
 

@@ -12,7 +12,7 @@ from cyclospeech import (
     stft,
     wiener_gain,
 )
-from cyclospeech.baselines import _smoothed_power
+from cyclospeech.baselines import MinStatsState, _smoothed_power
 
 FS = 16000
 
@@ -103,6 +103,18 @@ def test_wiener_shape_mismatch(cfg16k):
     spec = make_spec(np.ones((512, 50)), cfg16k)
     with pytest.raises(ValueError, match="shape"):
         wiener_gain(spec, np.ones((512, 49)))
+
+
+def test_wiener_state_must_hold_this_blocks_power(cfg16k):
+    rng = np.random.default_rng(4)
+    spec = make_spec(rng.standard_normal((512, 200)), cfg16k)
+    state = MinStatsState(num_frames=200)
+    with pytest.raises(ValueError, match="smoothed power"):
+        wiener_gain(spec, np.ones(spec.shape), state=state)
+    noise = min_stats_noise_psd(spec, state=state)
+    with pytest.raises(ValueError, match="smoothed power"):
+        wiener_gain(make_spec(spec.data[:, :150], cfg16k), noise[:, :150], state=state)
+    assert np.array_equal(wiener_gain(spec, noise, state=state), wiener_gain(spec, noise))
 
 
 def test_apply_mask_trivial_cases(cfg16k):

@@ -19,8 +19,6 @@ __all__ = [
     "oracle_eps",
 ]
 
-DEFAULT_GAIN_FLOOR = 10.0 ** (-25.0 / 20.0)
-
 # Floor of the oracle mask's denominator, relative to the mean clean power.
 IRM_EPS_REL = 1e-12
 
@@ -46,18 +44,14 @@ def _smoothed_power(
 
 @dataclass
 class MinStatsState:
-    """The smoothed noisy power the minimum-statistics Wiener filter carries
-    from one block of frames of a recording to the next.
-
-    ``min_stats_noise_psd(block, state=state)`` advances it over a block, and
-    ``wiener_gain(block, ..., state=state)`` then reads that block's smoothed
-    power from it. Over consecutive blocks, in order, the two give the whole
-    recording's values bit for bit.
+    """What the minimum-statistics tracker carries from one block of frames
+    of a recording to the next: the trailing smoothed power its minimum
+    reads. Over consecutive blocks, in order, ``min_stats_noise_psd(block,
+    state=state)`` gives the whole recording's values bit for bit.
     """
 
     num_frames: int  # frames of the whole recording
     tail: np.ndarray | None = None  # trailing smoothed frames the minimum reads
-    smoothed: np.ndarray | None = None  # smoothed power of the last block
 
 
 def min_stats_noise_psd(
@@ -66,8 +60,9 @@ def min_stats_noise_psd(
     smooth_alpha: float = 0.85,
     bias: float = 1.5,
     state: MinStatsState | None = None,
-) -> np.ndarray:
-    """Minimum-statistics noise tracker; returns the (K, L) noise PSD.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-statistics noise tracker; returns the (K, L) noise PSD and the
+    smoothed noisy power it was tracked on.
 
     The smoothed noisy periodogram is tracked per bin and the noise PSD is
     the bias-compensated sliding minimum over a trailing window; the window
@@ -101,36 +96,22 @@ def min_stats_noise_psd(
     if state is not None:
         # the next block's minimum reads up to win_frames - 1 frames back,
         # and its recursion continues from the last one
-        state.smoothed = block
         state.tail = smoothed[:, -max(win_frames - 1, 1) :].copy()
-    return bias * floor[:, floor.shape[1] - noisy.num_frames :]
+    return bias * floor[:, floor.shape[1] - noisy.num_frames :], block
 
 
 def wiener_gain(
-    noisy: ComplexSpectrogram,
-    noise_psd: np.ndarray,
-    gain_floor: float = DEFAULT_GAIN_FLOOR,
-    smooth_alpha: float = 0.85,
-    state: MinStatsState | None = None,
+    smoothed: np.ndarray, noise_psd: np.ndarray, gain_floor: float
 ) -> np.ndarray:
     """Spectral-subtraction style Wiener gain G = max(1 - N/P, floor), with P
-    the recursively smoothed noisy power (same constant as the tracker). With
-    ``state``, ``noisy`` is the block ``min_stats_noise_psd`` advanced it over
-    last, and P is the smoothed power that call left there: ``noisy.data``
-    and ``smooth_alpha`` are then not read."""
+    the smoothed noisy power that ``min_stats_noise_psd`` returns beside N."""
     if not 0.0 < gain_floor < 1.0:
         raise ValueError("gain_floor must lie strictly between 0 and 1")
     noise_psd = np.asarray(noise_psd)
-    if noise_psd.shape != noisy.shape:
+    if noise_psd.shape != smoothed.shape:
         raise ValueError(
             f"noise PSD shape {noise_psd.shape} does not match "
-            f"spectrogram shape {noisy.shape}"
-        )
-    smoothed = _smoothed_power(noisy.data, smooth_alpha) if state is None else state.smoothed
-    if smoothed is None or smoothed.shape != noisy.shape:
-        raise ValueError(
-            f"state holds no smoothed power for a {noisy.shape} block; advance it "
-            "over this block with min_stats_noise_psd first"
+            f"smoothed power shape {smoothed.shape}"
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = 1.0 - noise_psd / smoothed
@@ -151,16 +132,14 @@ def apply_mask(y: ComplexSpectrogram, mask: np.ndarray) -> ComplexSpectrogram:
 
 
 def oracle_irm(
-    clean: ComplexSpectrogram,
-    residual_noise: ComplexSpectrogram,
-    eps: float | None = None,
+    clean: ComplexSpectrogram, residual_noise: ComplexSpectrogram, eps: float
 ) -> np.ndarray:
     """Ideal ratio mask sqrt(|C|^2 / (|C|^2 + |N|^2 + eps)), entries in [0, 1).
 
     ``residual_noise`` is the preprocessed mixture minus the preprocessed
     clean signal, both passed through the identical preprocessor. The small
-    eps (by default ``IRM_EPS_REL`` times the mean clean power, see
-    ``oracle_eps``) keeps an all-zero noise estimate's mask below 1.
+    positive eps (``oracle_eps``) keeps an all-zero noise estimate's mask
+    below 1.
     """
     if clean.shape != residual_noise.shape:
         raise ValueError(
@@ -168,8 +147,6 @@ def oracle_irm(
         )
     cp = np.abs(clean.data) ** 2
     np_ = np.abs(residual_noise.data) ** 2
-    if eps is None:
-        eps = IRM_EPS_REL * max(float(cp.mean()), np.finfo(np.float64).tiny)
     return np.sqrt(cp / (cp + np_ + eps))
 
 

@@ -177,13 +177,10 @@ def process(
     else:
         out, out_comp = _recursion(state, frames, frames_comp, beta_x, diag_load)
 
-    main = ComplexSpectrogram(data=out, config=aug.config, num_samples=aug.num_samples)
+    main = ComplexSpectrogram(data=out, config=aug.config)
     if companion is None:
         return main
-    comp = ComplexSpectrogram(
-        data=out_comp, config=companion.config, num_samples=companion.num_samples
-    )
-    return main, comp
+    return main, ComplexSpectrogram(data=out_comp, config=companion.config)
 
 
 def _recursion(state, frames, frames_comp, beta_x, diag_load):

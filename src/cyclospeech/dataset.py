@@ -62,10 +62,10 @@ class SynthSettings:
     seed: int = 0
     snr_range: tuple[float, float] = (-20.0, 0.0)
     f0_range: tuple[float, float] = (60.0, 150.0)
-    num_harmonics: int = 10
-    correlation: float = 0.9
-    envelope_rate: float = 5.0
-    amplitude_decay: float = 0.5
+    num_harmonics: int = HarmonicNoiseParams.num_harmonics
+    correlation: float = HarmonicNoiseParams.correlation
+    envelope_rate: float = HarmonicNoiseParams.envelope_rate
+    amplitude_decay: float = HarmonicNoiseParams.amplitude_decay
     encoding: str = "float32"
 
     def __post_init__(self):

@@ -102,7 +102,6 @@ class AugmentedSpectrogram:
     channels: np.ndarray  # (C, K, L) complex; build_augmented's is frame-major
     modset: ModulationSet
     config: StftConfig
-    num_samples: int | None = None
 
     def __post_init__(self):
         self.channels = np.asarray(self.channels, dtype=np.complex128)
@@ -127,10 +126,10 @@ def build_augmented(
 
     With ``frames=(first, stop)`` only those frames are built: each shift
     modulates just the samples they read, at their index in ``signal``, and
-    the stack equals the same columns of the whole-signal stack bit for bit
-    (it then records no sample count). The stack is allocated once,
-    frame-major (C, L, K), and each channel's FFT is computed in its slot.
-    ``channels`` is the (C, K, L) transposed view of that stack.
+    the stack equals the same columns of the whole-signal stack bit for bit.
+    The stack is allocated once, frame-major (C, L, K), and each channel's
+    FFT is computed in its slot. ``channels`` is the (C, K, L) transposed
+    view of that stack.
     """
     modset.validate_for_rate(signal.sample_rate)
     n = len(signal)
@@ -143,9 +142,4 @@ def build_augmented(
         # is the plain STFT without numpy casting a real frame matrix to
         # complex next to the stack
         stft(modulate(segment, alpha, start=lo), cfg, frames=(first, stop), out=slot)
-    return AugmentedSpectrogram(
-        channels=stack.transpose(0, 2, 1),
-        modset=modset,
-        config=cfg,
-        num_samples=n if frames is None else None,
-    )
+    return AugmentedSpectrogram(channels=stack.transpose(0, 2, 1), modset=modset, config=cfg)

@@ -130,7 +130,10 @@ class PipelineConfig:
         for key, raw in mapping.items():
             if key not in _FIELD_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = field_parser(key)(raw) if isinstance(raw, str) else raw
+            try:
+                kwargs[key] = field_parser(key)(raw) if isinstance(raw, str) else raw
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
         return cls(**kwargs)
 
     @classmethod
@@ -260,10 +263,10 @@ def enhance_buffer(
         frames = (first, min(first + _STREAM_FRAMES, total))
         y, y_clean = _beamform(noisy, companion, shifts, cfg, frames, config, state)
         if wiener is not None:
-            noise_psd = min_stats_noise_psd(
+            noise_psd, smoothed = min_stats_noise_psd(
                 y, config.ms_window_sec, config.ms_alpha, config.ms_bias, state=wiener
             )
-            gain = wiener_gain(y, noise_psd, gain_floor=config.gain_floor, state=wiener)
+            gain = wiener_gain(smoothed, noise_psd, config.gain_floor)
             y = replace(y, data=gain * y.data)
             if y_clean is not None:
                 y_clean = replace(y_clean, data=gain * y_clean.data)

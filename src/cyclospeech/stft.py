@@ -3,8 +3,7 @@
 The full two-sided spectrum (``fft_size`` bins) is kept throughout: the
 beamformer combines complex-modulated channels, which breaks conjugate
 symmetry, so a one-sided representation would need per-bin symmetry
-bookkeeping. Real output is recovered by taking the real part after
-synthesis.
+bookkeeping. Synthesis into a real array keeps each frame's real part.
 """
 
 from __future__ import annotations
@@ -55,9 +54,6 @@ class AudioBuffer:
     @property
     def duration(self) -> float:
         return len(self) / self.sample_rate
-
-    def real(self) -> "AudioBuffer":
-        return AudioBuffer(np.real(self.samples), self.sample_rate)
 
     def power(self) -> float:
         return float(np.mean(np.abs(self.samples) ** 2)) if len(self) else 0.0
@@ -146,10 +142,6 @@ class StftConfig:
             return math.inf
         return float(np.max(np.abs(ola - mean)) / abs(mean))
 
-    def ola_gain(self) -> float:
-        """The constant the window-product overlap-add sums to (1 for the dual pair)."""
-        return float(self._ola_product().mean())
-
     @property
     def pad(self) -> int:
         return self.frame_len - self.hop
@@ -193,7 +185,6 @@ class ComplexSpectrogram:
 
     data: np.ndarray
     config: StftConfig
-    num_samples: int | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.complex128)
@@ -203,13 +194,6 @@ class ComplexSpectrogram:
             raise ValueError(
                 f"expected {self.config.fft_size} bins, got {self.data.shape[0]}"
             )
-        if self.num_samples is not None:
-            expected = self.config.num_frames(self.num_samples)
-            if self.data.shape[1] != expected:
-                raise ValueError(
-                    f"frame count {self.data.shape[1]} inconsistent with "
-                    f"{self.num_samples} samples (expected {expected})"
-                )
 
     @property
     def num_frames(self) -> int:
@@ -250,10 +234,9 @@ def stft(
     With ``frames=(first, stop)`` only those columns are computed, and
     ``signal`` holds just the samples they read, ``cfg.frame_span(first,
     stop, n)`` of the n-sample signal; the columns equal the same columns of
-    the whole signal's STFT bit for bit, and the result records no sample
-    count. ``out``, a (frames, fft_size) complex128 array, receives the FFTs
-    frame-major; the result's ``data`` is its transpose.
-    Deterministic for fixed input.
+    the whole signal's STFT bit for bit. ``out``, a (frames, fft_size)
+    complex128 array, receives the FFTs frame-major; the result's ``data`` is
+    its transpose. Deterministic for fixed input.
     """
     if len(signal) == 0:
         raise ValueError("cannot analyze an empty signal")
@@ -263,9 +246,9 @@ def stft(
             f"config sample rate {cfg.sample_rate}"
         )
     if frames is None:
-        first, count, num_samples = 0, cfg.num_frames(len(signal)), len(signal)
+        first, count = 0, cfg.num_frames(len(signal))
     else:
-        first, count, num_samples = frames[0], frames[1] - frames[0], None
+        first, count = frames[0], frames[1] - frames[0]
         if first < 0 or count <= 0:
             raise ValueError(f"frame range {frames} is empty or negative")
     # window into one (L, fft_size) buffer with a zero tail and transform it
@@ -277,23 +260,17 @@ def stft(
     np.multiply(frame_view, cfg.window, out=buf[:, : cfg.frame_len])
     buf[:, cfg.frame_len :] = 0.0
     np.fft.fft(buf, axis=1, out=buf)
-    return ComplexSpectrogram(data=buf.T, config=cfg, num_samples=num_samples)
+    return ComplexSpectrogram(data=buf.T, config=cfg)
 
 
-def istft(
-    spec: ComplexSpectrogram, out: np.ndarray | None = None, first_frame: int = 0
-) -> AudioBuffer | None:
-    """Weighted overlap-add synthesis.
+def istft(spec: ComplexSpectrogram, out: np.ndarray, first_frame: int = 0) -> None:
+    """Weighted overlap-add synthesis into ``out``.
 
-    Output is complex in general; callers producing audio take the real part.
-    When the spectrogram records the original sample count, exactly that many
-    samples are returned; otherwise the zero-padding margins are trimmed.
-
-    With ``out``, the float64 samples of the whole signal, ``spec`` holds
-    frames ``first_frame``.. of its STFT: their real part is overlap-added
-    into ``out``, the samples no later frame reaches are scaled, and nothing
-    is returned. Run over consecutive frame blocks in order, from zeros, it
-    leaves ``istft(whole).real()`` in ``out`` bit for bit.
+    ``out`` holds the samples of the whole signal and ``spec`` its STFT's
+    frames ``first_frame``..; the frames are overlap-added into ``out``,
+    their real part when ``out`` is real, complex when it is complex. From
+    zeros, one call on the whole spectrogram, or calls on consecutive frame
+    blocks in order, leave the same samples bit for bit.
     """
     cfg = spec.config
     dev = cfg.cola_deviation()
@@ -304,20 +281,10 @@ def istft(
         )
     frames = np.fft.ifft(spec.data.T, axis=1)[:, : cfg.frame_len]
     frames *= cfg.synthesis_window
-    whole = out is None
-    if whole:
-        n = spec.num_samples
-        if n is None:
-            n = max(spec.num_frames * cfg.hop - cfg.pad, 0)
-        out = np.zeros(n, dtype=np.complex128)
-    else:
+    if not np.iscomplexobj(out):
         frames = frames.real
     begin = first_frame * cfg.hop - cfg.pad  # where the first frame starts
     for i, frame in enumerate(frames):
         start = begin + i * cfg.hop
         lo, hi = max(start, 0), min(start + cfg.frame_len, len(out))
         out[lo:hi] += frame[lo - start : hi - start]
-    # the product by the reciprocal is what dividing a complex array by the
-    # real gain computes, so the real and complex paths agree bit for bit
-    out[max(begin, 0) : max(begin + len(frames) * cfg.hop, 0)] *= 1.0 / cfg.ola_gain()
-    return AudioBuffer(out, cfg.sample_rate) if whole else None

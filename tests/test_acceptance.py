@@ -216,7 +216,8 @@ def test_a6_reduction_identities():
 
     rng = np.random.default_rng(602)
     x = rng.standard_normal(12 * CFG.frame_len)
-    out = istft(stft(AudioBuffer(x, FS), CFG)).samples.real
+    out = np.zeros(len(x))
+    istft(stft(AudioBuffer(x, FS), CFG), out)
     inner = slice(CFG.frame_len, -CFG.frame_len)
     rt_err = float(
         np.linalg.norm(out[inner] - x[inner]) / np.linalg.norm(x[inner])

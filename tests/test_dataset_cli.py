@@ -8,6 +8,7 @@ import pytest
 from scipy.io import wavfile
 
 from cyclospeech import (
+    HarmonicNoiseParams,
     PipelineConfig,
     eval_dataset,
     read_wav,
@@ -259,6 +260,12 @@ def test_cli_synth_defaults_are_the_settings_defaults(tmp_path):
     assert digest(tmp_path / "cli" / "manifest.csv") == digest(manifest)
 
 
+def test_synth_settings_take_the_noise_defaults():
+    names = ("num_harmonics", "correlation", "envelope_rate", "amplitude_decay")
+    settings, params = SynthSettings(), HarmonicNoiseParams(f0=100.0)
+    assert [getattr(settings, n) for n in names] == [getattr(params, n) for n in names]
+
+
 def test_cli_errors_return_nonzero(tmp_path, capsys):
     rc = cli_main(["enhance", str(tmp_path / "nope.wav"), str(tmp_path / "out.wav")])
     assert rc == 2
@@ -413,6 +420,10 @@ def test_out_of_range_value_refused_by_constructor_and_flag(field, tmp_path, cap
         else:
             assert cli_main(argv) == 2
             assert name in capsys.readouterr().err
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{name}={_flag_text(value)}\n")
+        assert cli_main(["modset", str(tmp_path / "in.wav"), "--config", str(config)]) == 2
+        assert name in capsys.readouterr().err
 
 
 def test_modset_output_pastes_back_into_the_flag(tmp_path, capsys):

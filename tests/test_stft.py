@@ -44,9 +44,10 @@ def test_default_config_valid_and_round_trips(fs):
     x = np.random.default_rng(fs).standard_normal(fs // 2 + 17)
     spec = stft(AudioBuffer(x, fs), cfg)
     assert spec.shape[0] == cfg.fft_size
-    out = istft(spec)
+    out = np.zeros(len(x), dtype=complex)
+    istft(spec, out)
     assert len(out) == len(x)
-    assert np.abs(out.samples - x).max() <= 1e-12
+    assert np.abs(out - x).max() <= 1e-12
 
 
 def test_zero_signal_gives_zero_spectrogram(cfg16k):
@@ -82,30 +83,28 @@ def test_one_column_matches_direct_windowed_fft(cfg16k):
 def test_roundtrip_interior_error(cfg16k):
     rng = np.random.default_rng(1)
     x = rng.standard_normal(12 * cfg16k.frame_len)
-    out = istft(stft(AudioBuffer(x, FS), cfg16k)).samples
+    out = np.zeros(len(x), dtype=complex)
+    istft(stft(AudioBuffer(x, FS), cfg16k), out)
     inner = slice(cfg16k.frame_len, -cfg16k.frame_len)
     err = np.linalg.norm(out.real[inner] - x[inner]) / np.linalg.norm(x[inner])
     assert err <= 1e-6
     assert np.abs(out.imag).max() < 1e-10
 
 
-def test_roundtrip_exact_length(cfg16k):
-    x = np.sin(np.arange(5000) * 0.01)
-    out = istft(stft(AudioBuffer(x, FS), cfg16k))
-    assert len(out) == 5000
-
-
 def test_zero_spectrogram_inverts_to_zero(cfg16k):
     spec = ComplexSpectrogram(np.zeros((512, 20), dtype=complex), cfg16k)
-    assert np.all(istft(spec).samples == 0)
+    out = np.zeros(20 * cfg16k.hop - cfg16k.pad, dtype=complex)
+    istft(spec, out)
+    assert np.all(out == 0)
 
 
 def test_istft_scaling_linearity(cfg16k):
     rng = np.random.default_rng(2)
     x = rng.standard_normal(6000)
     spec = stft(AudioBuffer(x, FS), cfg16k)
-    doubled = ComplexSpectrogram(2.0 * spec.data, cfg16k, num_samples=spec.num_samples)
-    y = istft(doubled).samples.real
+    doubled = ComplexSpectrogram(2.0 * spec.data, cfg16k)
+    y = np.zeros(len(x))
+    istft(doubled, y)
     assert np.linalg.norm(y - 2 * x) / np.linalg.norm(x) <= 1e-6
 
 
@@ -170,18 +169,14 @@ def test_istft_rechecks_cola():
     # sabotage the pair after construction; istft must notice
     cfg.synthesis_window = cfg.synthesis_window + np.linspace(0, 0.5, 512)
     with pytest.raises(ValueError, match="overlap-add"):
-        istft(spec)
-
-
-def test_spectrogram_frame_count_validated(cfg16k):
-    with pytest.raises(ValueError, match="inconsistent"):
-        ComplexSpectrogram(np.zeros((512, 5), dtype=complex), cfg16k, num_samples=50000)
+        istft(spec, np.zeros(3000))
 
 
 def test_complex_input_supported(cfg16k):
     rng = np.random.default_rng(5)
     z = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
-    out = istft(stft(AudioBuffer(z, FS), cfg16k)).samples
+    out = np.zeros(len(z), dtype=complex)
+    istft(stft(AudioBuffer(z, FS), cfg16k), out)
     assert np.linalg.norm(out - z) / np.linalg.norm(z) <= 1e-10
 
 
@@ -198,7 +193,8 @@ def test_roundtrip_at_every_rate_and_length(fs, length, is_complex, seed):
     x = rng.standard_normal(length)
     if is_complex:
         x = x + 1j * rng.standard_normal(length)
-    out = istft(stft(AudioBuffer(x, fs), cfg)).samples
+    out = np.zeros(length, dtype=complex)
+    istft(stft(AudioBuffer(x, fs), cfg), out)
     assert len(out) == length
     assert np.abs(out - x).max() <= 1e-12 * max(1.0, np.abs(x).max())
 

@@ -32,13 +32,11 @@ def _smoothed_power(
     power = np.abs(data) ** 2
     smoothed = np.empty_like(power)
     if seed is None:
-        smoothed[:, 0] = power[:, 0]
+        smoothed[0] = power[0]
     else:
-        smoothed[:, 0] = smooth_alpha * seed + (1.0 - smooth_alpha) * power[:, 0]
-    for l in range(1, power.shape[1]):
-        smoothed[:, l] = (
-            smooth_alpha * smoothed[:, l - 1] + (1.0 - smooth_alpha) * power[:, l]
-        )
+        smoothed[0] = smooth_alpha * seed + (1.0 - smooth_alpha) * power[0]
+    for l in range(1, power.shape[0]):
+        smoothed[l] = smooth_alpha * smoothed[l - 1] + (1.0 - smooth_alpha) * power[l]
     return smoothed
 
 
@@ -51,7 +49,7 @@ class MinStatsState:
     """
 
     num_frames: int  # frames of the whole recording
-    tail: np.ndarray | None = None  # trailing smoothed frames the minimum reads
+    tail: np.ndarray | None = None  # trailing smoothed frames the minimum reads, (m, K)
 
 
 def min_stats_noise_psd(
@@ -61,7 +59,7 @@ def min_stats_noise_psd(
     bias: float = 1.5,
     state: MinStatsState | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-statistics noise tracker; returns the (K, L) noise PSD and the
+    """Minimum-statistics noise tracker; returns the (L, K) noise PSD and the
     smoothed noisy power it was tracked on.
 
     The smoothed noisy periodogram is tracked per bin and the noise PSD is
@@ -85,19 +83,19 @@ def min_stats_noise_psd(
     from scipy.ndimage import minimum_filter1d
 
     tail = None if state is None else state.tail
-    block = _smoothed_power(noisy.data, smooth_alpha, None if tail is None else tail[:, -1])
-    smoothed = block if tail is None else np.concatenate([tail, block], axis=1)
+    block = _smoothed_power(noisy.data, smooth_alpha, None if tail is None else tail[-1])
+    smoothed = block if tail is None else np.concatenate([tail, block])
     # trailing minimum: nearest-edge padding only ever repeats the first
     # frame, which is already inside every early window
     floor = minimum_filter1d(
-        smoothed, size=win_frames, axis=1, mode="nearest",
+        smoothed, size=win_frames, axis=0, mode="nearest",
         origin=(win_frames - 1) // 2,
     )
     if state is not None:
         # the next block's minimum reads up to win_frames - 1 frames back,
         # and its recursion continues from the last one
-        state.tail = smoothed[:, -max(win_frames - 1, 1) :].copy()
-    return bias * floor[:, floor.shape[1] - noisy.num_frames :], block
+        state.tail = smoothed[-max(win_frames - 1, 1) :].copy()
+    return bias * floor[floor.shape[0] - noisy.num_frames :], block
 
 
 def wiener_gain(

@@ -154,8 +154,8 @@ def process(
     if companion is not None and companion.channels.shape != aug.channels.shape:
         raise ValueError("companion must match the main spectrogram's shape")
     state = CmpdrState() if state is None else state
-    chans = aug.channels  # (C, K, L)
-    c, k, l = chans.shape
+    frames = aug.channels
+    c, l, k = frames.shape
     if state.shape is None:
         state.shape = (c, k)
     elif state.shape != (c, k):
@@ -164,15 +164,12 @@ def process(
             f"{state.shape[0]} channels x {state.shape[1]} bins"
         )
 
-    # (C, L, K) views: on build_augmented's frame-major stacks each frame of
-    # each channel is a contiguous run of K values. Every sum below runs over
-    # a buffer of fixed layout, so the output does not depend on the stack's.
-    frames = chans.transpose(0, 2, 1)
-    frames_comp = companion.channels.transpose(0, 2, 1) if companion is not None else None
+    # every sum below runs over a buffer of fixed layout, so the output does
+    # not depend on the stack's
+    frames_comp = companion.channels if companion is not None else None
     if c == 1:
-        # frame-major copies, the layout stft returns
-        out = frames[0].copy().T
-        out_comp = frames_comp[0].copy().T if companion is not None else None
+        out = frames[0].copy()
+        out_comp = frames_comp[0].copy() if companion is not None else None
         state.frame += l
     else:
         out, out_comp = _recursion(state, frames, frames_comp, beta_x, diag_load)
@@ -185,7 +182,7 @@ def process(
 
 def _recursion(state, frames, frames_comp, beta_x, diag_load):
     """Beamform the frames (C, L, K) of one block, C > 1, continuing and
-    advancing ``state``; returns the (K, L) outputs for the block and its
+    advancing ``state``; returns the (L, K) outputs for the block and its
     companion (None without one)."""
     c, l, k = frames.shape
     f0 = state.frame  # stack index of the block's first frame
@@ -212,8 +209,8 @@ def _recursion(state, frames, frames_comp, beta_x, diag_load):
     r = c - 1
     g = (1.0 - beta_x) / beta_x
     tmp = np.empty((r, r, k), dtype=np.complex128)
-    out = np.empty((k, l), dtype=np.complex128)
-    out_comp = np.empty((k, l), dtype=np.complex128) if frames_comp is not None else None
+    out = np.empty((l, k), dtype=np.complex128)
+    out_comp = np.empty((l, k), dtype=np.complex128) if frames_comp is not None else None
     x_buf = np.empty((c, _BLOCK_FRAMES, k), dtype=np.complex128)
     zc_buf = np.empty((r, _BLOCK_FRAMES, k), dtype=np.complex128)
     max_d = 1.0 / np.finfo(np.float64).eps
@@ -256,10 +253,10 @@ def _recursion(state, frames, frames_comp, beta_x, diag_load):
         # y = w^H x = x0 - z^H xr for the whole chunk at once (equal to e / d
         # in exact arithmetic), main and companion alike
         zc_blk = zc_buf[:, :n]
-        out[:, start:stop] = (x_blk[0] - (zc_blk * x_blk[1:]).sum(axis=0)).T
+        out[start:stop] = x_blk[0] - (zc_blk * x_blk[1:]).sum(axis=0)
         if frames_comp is not None:
             xc_blk = frames_comp[:, start:stop]
-            out_comp[:, start:stop] = (xc_blk[0] - (zc_blk * xc_blk[1:]).sum(axis=0)).T
+            out_comp[start:stop] = xc_blk[0] - (zc_blk * xc_blk[1:]).sum(axis=0)
     state.zc, state.q_inv = zc, q_inv
     state.since = np.array(since(l))  # a copy: the block's stack is not kept
     state.frame = f0 + l

@@ -60,15 +60,26 @@ class MetricRecord:
         self.stoi = min(max(float(self.stoi), 0.0), 1.0)
 
 
-def si_sdr(estimate: AudioBuffer, reference: AudioBuffer) -> float:
-    """Scale-invariant signal-to-distortion ratio in dB, capped at +100 dB."""
+def _checked_pair(
+    estimate: AudioBuffer, reference: AudioBuffer
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The real parts of two equal-length, finite signals and the reference's
+    energy, which must not be zero."""
     e = np.real(estimate.samples)
     r = np.real(reference.samples)
     if e.shape != r.shape:
         raise ValueError(f"length mismatch: {e.shape[0]} vs {r.shape[0]}")
+    estimate.require_finite("estimate")
+    reference.require_finite("reference")
     r_energy = float(np.dot(r, r))
     if r_energy == 0.0:
         raise ValueError("reference signal has zero energy")
+    return e, r, r_energy
+
+
+def si_sdr(estimate: AudioBuffer, reference: AudioBuffer) -> float:
+    """Scale-invariant signal-to-distortion ratio in dB, capped at +100 dB."""
+    e, r, r_energy = _checked_pair(estimate, reference)
     target = (np.dot(e, r) / r_energy) * r
     target_energy = float(np.dot(target, target))
     residual = e - target
@@ -103,8 +114,6 @@ def _remove_silent_frames(
     energies = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + np.finfo(float).eps)
     keep = energies > energies.max() - _STOI_VAD_RANGE_DB
     xf, yf = xf[keep], yf[keep]
-    if len(xf) == 0:
-        raise ValueError("reference contains no active frames")
     n_out = (len(xf) - 1) * hop + len(window)
     x_out = np.zeros(n_out)
     y_out = np.zeros(n_out)
@@ -115,7 +124,7 @@ def _remove_silent_frames(
     return x_out, y_out
 
 
-def stoi(estimate: AudioBuffer, reference: AudioBuffer, fs: int | None = None) -> float:
+def stoi(estimate: AudioBuffer, reference: AudioBuffer) -> float:
     """Short-time objective intelligibility of the estimate given the clean
     reference.
 
@@ -124,13 +133,10 @@ def stoi(estimate: AudioBuffer, reference: AudioBuffer, fs: int | None = None) -
     384 ms segments with per-segment normalization and clipping, and the
     band/segment correlations are averaged.
     """
-    e = np.real(estimate.samples)
-    r = np.real(reference.samples)
-    if e.shape != r.shape:
-        raise ValueError(f"length mismatch: {e.shape[0]} vs {r.shape[0]}")
-    fs = int(fs) if fs is not None else reference.sample_rate
-    if fs != estimate.sample_rate or fs != reference.sample_rate:
-        raise ValueError("sample-rate mismatch between signals and fs argument")
+    e, r, _ = _checked_pair(estimate, reference)
+    fs = reference.sample_rate
+    if estimate.sample_rate != fs:
+        raise ValueError("sample-rate mismatch between estimate and reference")
     if fs != _STOI_FS:
         from scipy.signal import resample_poly
 

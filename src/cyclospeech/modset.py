@@ -202,19 +202,10 @@ def candidate_modulations(peaks: PeakList) -> list[float]:
 
 
 def _frames(x: np.ndarray) -> np.ndarray:
-    """The (frames, 2 * bins) float64 view of a (bins, frames) complex
-    spectrogram's frame-major memory, real and imaginary parts interleaved.
-
-    ``stft(...).data`` is the transpose of the C-contiguous FFT output, so for
-    it (and for ``_rows`` gathers) this is a view; other layouts are copied.
-    """
-    return np.ascontiguousarray(x.T).view(np.float64)
-
-
-def _rows(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Bins ``idx`` of a (bins, frames) spectrogram, gathered frame by frame
-    into frame-major memory."""
-    return np.take(x.T, idx, axis=1).T
+    """The (frames, 2 * bins) float64 view of a (frames, bins) complex
+    spectrogram, real and imaginary parts interleaved; a view of a
+    C-contiguous spectrogram, a copy of any other."""
+    return np.ascontiguousarray(x).view(np.float64)
 
 
 def _column_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -229,7 +220,7 @@ def _real_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _bin_cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-bin sum over frames of x * conj(y), for (bins, frames) spectrograms.
+    """Per-bin sum over frames of x * conj(y), for (frames, bins) spectrograms.
 
     The real part is ``_real_cross``, the expression behind ``_bin_energy``
     too: ``abs`` rounds through ``hypot`` and would disagree with the cross
@@ -291,7 +282,7 @@ def _coherence_between(
     if not np.any(valid):
         return 0.0
     top, weights = top[valid], weights[valid]
-    cross = np.abs(_bin_cross(_rows(base, top), _rows(shifted, top)))
+    cross = np.abs(_bin_cross(base[:, top], shifted[:, top]))
     return float(np.average(cross / np.sqrt(weights), weights=weights))
 
 
@@ -338,13 +329,13 @@ class _ShiftSearch:
 
     def best_offset(self, products: np.ndarray) -> float:
         """Offset in Hz of the peak of the summed magnitude spectra of the
-        rows of ``products``.
+        columns of ``products`` (frames x bins).
 
         Points within ``SHIFT_TIE_RTOL`` of the peak count as tied and the
         first in fftfreq order wins: where the full padded FFT ties exactly
         (a zero or flat spectrum) the chirp-z values differ by rounding only.
         """
-        spectrum = np.abs(self._zoom(products, axis=1)).sum(axis=0)[self._order]
+        spectrum = np.abs(self._zoom(products, axis=0)).sum(axis=1)[self._order]
         tied = spectrum >= spectrum.max() * (1.0 - SHIFT_TIE_RTOL)
         return float(self.deltas[np.argmax(tied)])
 
@@ -364,7 +355,7 @@ def _refine_shift(
     shifted = stft(modulate(signal, alpha), cfg, out=out).data
     top, _ = _top_support_bins(e_base, _bin_energy(shifted))
     # rotates at (true - alpha) Hz
-    products = _rows(base, top) * np.conj(_rows(shifted, top))
+    products = base[:, top] * np.conj(shifted[:, top])
     return alpha + search.best_offset(products)
 
 
@@ -438,7 +429,7 @@ def estimate_modulation_set_detailed(
     if candidates and max_shifts > 1:
         base = stft(signal, cfg).data
         e_base = _bin_energy(base)
-        search = _ShiftSearch(base.shape[1], cfg, search_hz=resolution)
+        search = _ShiftSearch(base.shape[0], cfg, search_hz=resolution)
 
         def score(cand: float, out: np.ndarray) -> CoherenceReport:
             refined = _refine_shift(base, e_base, signal, cand, cfg, search, out)
@@ -449,7 +440,7 @@ def estimate_modulation_set_detailed(
             accepted = coh >= coherence_threshold and refined >= min_shift_hz
             return CoherenceReport(refined, coh, accepted, coarse_hz=cand)
 
-        reports = _in_threads(score, candidates, base.T.shape)
+        reports = _in_threads(score, candidates, base.shape)
     accepted = [r for r in reports if r.accepted]
     ranked = sorted(accepted, key=lambda r: r.coherence, reverse=True)
     if accepted:

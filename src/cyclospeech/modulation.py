@@ -99,20 +99,20 @@ class AugmentedSpectrogram:
     identity, like ``ComplexSpectrogram``.
     """
 
-    channels: np.ndarray  # (C, K, L) complex; build_augmented's is frame-major
+    channels: np.ndarray  # (C, L, K) complex: channels x frames x bins
     modset: ModulationSet
     config: StftConfig
 
     def __post_init__(self):
         self.channels = np.asarray(self.channels, dtype=np.complex128)
         if self.channels.ndim != 3:
-            raise ValueError("channels must be 3-D (channels x bins x frames)")
+            raise ValueError("channels must be 3-D (channels x frames x bins)")
         if self.channels.shape[0] != len(self.modset):
             raise ValueError(
                 f"{self.channels.shape[0]} channels do not match "
                 f"{len(self.modset)} shifts"
             )
-        if self.channels.shape[1] != self.config.fft_size:
+        if self.channels.shape[2] != self.config.fft_size:
             raise ValueError("bin count does not match fft_size")
 
 
@@ -126,10 +126,9 @@ def build_augmented(
 
     With ``frames=(first, stop)`` only those frames are built: each shift
     modulates just the samples they read, at their index in ``signal``, and
-    the stack equals the same columns of the whole-signal stack bit for bit.
-    The stack is allocated once, frame-major (C, L, K), and each channel's
-    FFT is computed in its slot. ``channels`` is the (C, K, L) transposed
-    view of that stack.
+    the stack equals the same frames of the whole-signal stack bit for bit.
+    The (C, L, K) stack is allocated once and each channel's FFT is computed
+    in its slot.
     """
     modset.validate_for_rate(signal.sample_rate)
     n = len(signal)
@@ -142,4 +141,4 @@ def build_augmented(
         # is the plain STFT without numpy casting a real frame matrix to
         # complex next to the stack
         stft(modulate(segment, alpha, start=lo), cfg, frames=(first, stop), out=slot)
-    return AugmentedSpectrogram(channels=stack.transpose(0, 2, 1), modset=modset, config=cfg)
+    return AugmentedSpectrogram(channels=stack, modset=modset, config=cfg)

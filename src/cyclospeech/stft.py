@@ -179,7 +179,7 @@ def default_stft_config(sample_rate: int = 16000) -> StftConfig:
 
 @dataclass(eq=False)
 class ComplexSpectrogram:
-    """K x L grid of complex STFT coefficients plus frame geometry.
+    """Frames x bins grid of complex STFT coefficients plus frame geometry.
 
     Compared by identity: compare ``data`` with numpy instead."""
 
@@ -189,15 +189,15 @@ class ComplexSpectrogram:
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.complex128)
         if self.data.ndim != 2:
-            raise ValueError("spectrogram data must be 2-D (bins x frames)")
-        if self.data.shape[0] != self.config.fft_size:
+            raise ValueError("spectrogram data must be 2-D (frames x bins)")
+        if self.data.shape[1] != self.config.fft_size:
             raise ValueError(
-                f"expected {self.config.fft_size} bins, got {self.data.shape[0]}"
+                f"expected {self.config.fft_size} bins, got {self.data.shape[1]}"
             )
 
     @property
     def num_frames(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[0]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -230,13 +230,13 @@ def stft(
 ) -> ComplexSpectrogram:
     """Analyze a (possibly complex) signal into a two-sided complex spectrogram.
 
-    Column l is the windowed FFT of the padded signal starting at l*hop.
-    With ``frames=(first, stop)`` only those columns are computed, and
+    Row l is the windowed FFT of the padded signal starting at l*hop.
+    With ``frames=(first, stop)`` only those rows are computed, and
     ``signal`` holds just the samples they read, ``cfg.frame_span(first,
-    stop, n)`` of the n-sample signal; the columns equal the same columns of
-    the whole signal's STFT bit for bit. ``out``, a (frames, fft_size)
-    complex128 array, receives the FFTs frame-major; the result's ``data`` is
-    its transpose. Deterministic for fixed input.
+    stop, n)`` of the n-sample signal; the rows equal the same rows of the
+    whole signal's STFT bit for bit. ``out``, a (frames, fft_size)
+    complex128 array, receives the FFTs and becomes the result's ``data``.
+    Deterministic for fixed input.
     """
     if len(signal) == 0:
         raise ValueError("cannot analyze an empty signal")
@@ -251,8 +251,8 @@ def stft(
         first, count = frames[0], frames[1] - frames[0]
         if first < 0 or count <= 0:
             raise ValueError(f"frame range {frames} is empty or negative")
-    # window into one (L, fft_size) buffer with a zero tail and transform it
-    # in place: a single allocation for the whole spectrogram
+    # window into one buffer with a zero tail and transform it in place: a
+    # single allocation for the whole spectrogram
     buf = np.empty((count, cfg.fft_size), dtype=np.complex128) if out is None else out
     if buf.shape != (count, cfg.fft_size) or buf.dtype != np.complex128:
         raise ValueError(f"out must be a ({count}, {cfg.fft_size}) complex128 array")
@@ -260,7 +260,7 @@ def stft(
     np.multiply(frame_view, cfg.window, out=buf[:, : cfg.frame_len])
     buf[:, cfg.frame_len :] = 0.0
     np.fft.fft(buf, axis=1, out=buf)
-    return ComplexSpectrogram(data=buf.T, config=cfg)
+    return ComplexSpectrogram(data=buf, config=cfg)
 
 
 def istft(spec: ComplexSpectrogram, out: np.ndarray, first_frame: int = 0) -> None:
@@ -279,7 +279,7 @@ def istft(spec: ComplexSpectrogram, out: np.ndarray, first_frame: int = 0) -> No
             f"window pair violates constant overlap-add "
             f"(relative deviation {dev:.3e} > {COLA_RTOL:.0e})"
         )
-    frames = np.fft.ifft(spec.data.T, axis=1)[:, : cfg.frame_len]
+    frames = np.fft.ifft(spec.data, axis=1)[:, : cfg.frame_len]
     frames *= cfg.synthesis_window
     if not np.iscomplexobj(out):
         frames = frames.real

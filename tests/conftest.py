@@ -46,16 +46,16 @@ def _anchor_weights(cov, diag_load=1e-6):
 
 def _realized_weights(aug, beta_x=0.95, diag_load=1e-6):
     """The filter ``process`` ran on ``aug``, C > 1: (output, final covariance
-    (K, C, C), weights (K, L, C)).
+    (K, C, C), weights (L, K, C)).
 
     y = w^H x is linear in x, so co-filtering a companion that is 1 in channel
     j and 0 elsewhere returns conj(w_j) in every bin and frame.
     """
-    c, k, l = aug.channels.shape
-    weights = np.empty((k, l, c), dtype=np.complex128)
+    c, l, k = aug.channels.shape
+    weights = np.empty((l, k, c), dtype=np.complex128)
     state = beamformer.CmpdrState()
     for j in range(c):
-        unit = np.zeros((c, k, l), dtype=np.complex128)
+        unit = np.zeros((c, l, k), dtype=np.complex128)
         unit[j] = 1.0
         comp = AugmentedSpectrogram(channels=unit, modset=aug.modset, config=aug.config)
         y, y_comp = cmpdr_process(

@@ -95,20 +95,20 @@ def test_a2_distortionless_and_power_minimization(realized_weights):
     mixture, _, f0 = make_mixture(seed=201, snr_db=-10.0, duration=10.0)
     modset = ModulationSet((0.0, f0, 2 * f0))
     aug = build_augmented(mixture, modset, CFG)
-    _, _, weights = realized_weights(aug, beta_x=0.95)  # (K, L, C)
+    _, _, weights = realized_weights(aug, beta_x=0.95)  # (L, K, C)
 
     chans = aug.channels
-    n_ch, n_bins, n_frames = chans.shape
+    n_ch, n_frames, n_bins = chans.shape
     warm = min(10, n_frames)
-    delta = 1e-3 * np.mean(np.abs(chans[0, :, :warm]) ** 2, axis=1)
+    delta = 1e-3 * np.mean(np.abs(chans[0, :warm]) ** 2, axis=0)
     cov = delta[:, None, None] * np.eye(n_ch, dtype=complex)[None]
     beta = 0.95
     constraint_violations = 0
     power_violations = 0
     for l in range(n_frames):
-        x = chans[:, :, l].T
+        x = chans[:, l].T
         cov = beta * cov + (1.0 - beta) * (x[:, :, None] * np.conj(x[:, None, :]))
-        w = weights[:, l, :].astype(np.complex128)
+        w = weights[l].astype(np.complex128)
         constraint_violations += int(np.sum(np.abs(np.conj(w[:, 0]) - 1.0) > 1e-10))
         out_power = np.einsum("kc,kcd,kd->k", np.conj(w), cov, w).real
         ref_power = cov[:, 0, 0].real

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclospeech import (
+    AudioBuffer,
     HarmonicNoiseParams,
     MixSpec,
     ModulationSet,
@@ -11,6 +12,7 @@ from cyclospeech import (
     build_augmented,
     cmpdr_process,
     mix_at_snr,
+    stft,
     synth_harmonic_cs_noise,
     synth_speech_like,
 )
@@ -92,12 +94,30 @@ def test_trivial_modset_is_bit_exact_identity(cfg16k):
     assert np.array_equal(out.data, aug.channels[0])
 
 
+@pytest.mark.parametrize("shifts", [(0.0,), (0.0, 110.0, 220.0)])
+def test_spectrograms_are_stored_frames_first(cfg16k, shifts):
+    # every stage returns C-contiguous frames x bins arrays, not views
+    sig = AudioBuffer(np.random.default_rng(26).standard_normal(FS), FS)
+    frames, bins = cfg16k.num_frames(len(sig)), cfg16k.fft_size
+    aug = build_augmented(sig, ModulationSet(shifts), cfg16k)
+    y, y_comp = cmpdr_process(aug, companion=aug)
+    for array, shape in (
+        (stft(sig, cfg16k).data, (frames, bins)),
+        (aug.channels, (len(shifts), frames, bins)),
+        (cmpdr_process(aug).data, (frames, bins)),
+        (y.data, (frames, bins)),
+        (y_comp.data, (frames, bins)),
+    ):
+        assert array.shape == shape
+        assert array.flags.c_contiguous
+
+
 def test_uncorrelated_channels_output_near_channel_zero():
     # independent channels: estimated cross-terms are pure noise, so the
     # optimal combination stays close to the unshifted channel
     rng = np.random.default_rng(4)
     cfg = small_config()
-    shape = (3, 64, 500)
+    shape = (3, 500, 64)
     channels = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     aug = AugmentedSpectrogram(
         channels=channels, modset=ModulationSet((0.0, 50.0, 100.0)), config=cfg
@@ -105,9 +125,7 @@ def test_uncorrelated_channels_output_near_channel_zero():
     out = cmpdr_process(aug).data
     ref = channels[0]
     settle = 100  # skip covariance warm-up
-    err = np.linalg.norm(out[:, settle:] - ref[:, settle:]) / np.linalg.norm(
-        ref[:, settle:]
-    )
+    err = np.linalg.norm(out[settle:] - ref[settle:]) / np.linalg.norm(ref[settle:])
     assert err <= 0.35
 
 
@@ -117,18 +135,18 @@ def test_correlated_interferer_is_suppressed():
     rng = np.random.default_rng(5)
     cfg = small_config()
     frames = 400
-    interference = rng.standard_normal((64, frames)) + 1j * rng.standard_normal(
-        (64, frames)
+    interference = rng.standard_normal((frames, 64)) + 1j * rng.standard_normal(
+        (frames, 64)
     )
-    target = 0.1 * (rng.standard_normal((64, frames)) + 1j * rng.standard_normal((64, frames)))
+    target = 0.1 * (rng.standard_normal((frames, 64)) + 1j * rng.standard_normal((frames, 64)))
     channels = np.stack([interference + target, interference])
     aug = AugmentedSpectrogram(
         channels=channels, modset=ModulationSet((0.0, 50.0)), config=cfg
     )
     out = cmpdr_process(aug).data
     settle = 100
-    out_power = np.mean(np.abs(out[:, settle:]) ** 2)
-    in_power = np.mean(np.abs(channels[0, :, settle:]) ** 2)
+    out_power = np.mean(np.abs(out[settle:]) ** 2)
+    in_power = np.mean(np.abs(channels[0, settle:]) ** 2)
     assert out_power < 0.1 * in_power
 
 
@@ -161,8 +179,8 @@ def test_companion_cofiltering_is_linear(cfg16k):
 
 
 def stack(channels):
-    """Wrap a (C, K, L) array as an augmented stack with K-point frames."""
-    c, k, _ = channels.shape
+    """Wrap a (C, L, K) array as an augmented stack with K-point frames."""
+    c, _, k = channels.shape
     cfg = StftConfig(
         frame_len=k,
         hop=k // 4,
@@ -176,12 +194,12 @@ def stack(channels):
 
 def covariance_trajectory(chans, beta_x=0.95):
     """Yield (x (K, C), S (K, C, C)) per frame of the documented recursion."""
-    c, _, l = chans.shape
+    c, l, _ = chans.shape
     warm = min(10, l)
-    delta = 1e-3 * np.mean(np.abs(chans[0, :, :warm]) ** 2, axis=1)
+    delta = 1e-3 * np.mean(np.abs(chans[0, :warm]) ** 2, axis=0)
     cov = delta[:, None, None] * np.eye(c, dtype=complex)
     for frame in range(l):
-        x = chans[:, :, frame].T
+        x = chans[:, frame].T
         cov = beta_x * cov + (1.0 - beta_x) * (x[:, :, None] * np.conj(x[:, None, :]))
         yield x, cov
 
@@ -190,10 +208,10 @@ def anchored_solve_reference(chans, companion=None, beta_x=0.95, diag_load=1e-6)
     """The documented weights by a direct solve on every frame: at each anchor
     the loading is lambda_a = diag_load * tr(S) / C, and it decays by beta_x
     per frame until the next, so frame t solves (S_t + lambda_a beta_x^(t-a) I)
-    w = mu e1. Returns the outputs (K, L) for ``chans`` and ``companion``."""
-    c, k, l = chans.shape
-    out = np.empty((k, l), dtype=complex)
-    out_comp = np.empty((k, l), dtype=complex)
+    w = mu e1. Returns the outputs (L, K) for ``chans`` and ``companion``."""
+    c, l, k = chans.shape
+    out = np.empty((l, k), dtype=complex)
+    out_comp = np.empty((l, k), dtype=complex)
     e1 = np.zeros((k, c, 1), dtype=complex)
     e1[:, 0] = 1.0
     for frame, (x, cov) in enumerate(covariance_trajectory(chans, beta_x)):
@@ -203,28 +221,28 @@ def anchored_solve_reference(chans, companion=None, beta_x=0.95, diag_load=1e-6)
         lam = lam_a * beta_x ** (frame - anchor)
         a = np.linalg.solve(cov + lam[:, None, None] * np.eye(c), e1)[:, :, 0]
         w = a / a[:, :1]
-        out[:, frame] = np.sum(np.conj(w) * x, axis=1)
+        out[frame] = np.sum(np.conj(w) * x, axis=1)
         if companion is not None:
-            out_comp[:, frame] = np.sum(np.conj(w) * companion[:, :, frame].T, axis=1)
+            out_comp[frame] = np.sum(np.conj(w) * companion[:, frame].T, axis=1)
     return out, out_comp
 
 
 def assert_power_bound(chans, weights):
     """A2's bound on every frame: w^H S w <= S00 + 1e-9 tr S."""
     for frame, (_, cov) in enumerate(covariance_trajectory(chans)):
-        w = weights[:, frame, :].astype(complex)
+        w = weights[frame].astype(complex)
         out_power = np.einsum("kc,kcd,kd->k", np.conj(w), cov, w).real
         trace = np.einsum("kcc->k", cov).real
         assert np.all(out_power <= cov[:, 0, 0].real + 1e-9 * trace), frame
 
 
 def random_channels(c, k, l, seed):
-    """Complex Gaussian channels, partly coherent with channel 0, with
-    per-bin levels spread over six decades."""
+    """(C, L, K) complex Gaussian channels, partly coherent with channel 0,
+    with per-bin levels spread over six decades."""
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((c, k, l)) + 1j * rng.standard_normal((c, k, l))
+    z = rng.standard_normal((c, l, k)) + 1j * rng.standard_normal((c, l, k))
     z[1:] += rng.uniform(0.0, 2.0, size=(c - 1, 1, 1)) * z[0]
-    return z * 10.0 ** rng.uniform(-3.0, 3.0, size=(1, k, 1))
+    return z * 10.0 ** rng.uniform(-3.0, 3.0, size=(1, 1, k))
 
 
 random_stacks = st.builds(
@@ -239,28 +257,28 @@ random_stacks = st.builds(
 def test_covariance_converges_to_outer_product(realized_weights):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
-    _, cov, _ = realized_weights(stack(np.repeat(x[:, :, None], 200, axis=2)))
+    _, cov, _ = realized_weights(stack(np.repeat(x[:, None, :], 200, axis=1)))
     target = x.T[:, :, None] * np.conj(x.T[:, None, :])
     assert np.linalg.norm(cov - target) <= 1e-4 * np.linalg.norm(target)
 
 
 def test_zero_frame_scales_previous_covariance(realized_weights):
     rng = np.random.default_rng(1)
-    chans = rng.standard_normal((3, 8, 40)) + 1j * rng.standard_normal((3, 8, 40))
+    chans = rng.standard_normal((3, 40, 8)) + 1j * rng.standard_normal((3, 40, 8))
     _, prev, prev_weights = realized_weights(stack(chans))
-    padded = np.concatenate([chans, np.zeros((3, 8, 1))], axis=2)
+    padded = np.concatenate([chans, np.zeros((3, 1, 8))], axis=1)
     _, cov, weights = realized_weights(stack(padded))
     # within complex64 rounding on each side
     assert np.allclose(cov, 0.95 * prev, rtol=3e-7, atol=0.0)
     # a zero frame only rescales P, so the weights carry over
-    assert np.allclose(weights[:, 40], prev_weights[:, 39], rtol=3e-7, atol=0.0)
+    assert np.allclose(weights[40], prev_weights[39], rtol=3e-7, atol=0.0)
 
 
 def test_covariance_stays_hermitian_psd(realized_weights):
     rng = np.random.default_rng(2)
-    chans = rng.standard_normal((5, 8, 50)) + 1j * rng.standard_normal((5, 8, 50))
+    chans = rng.standard_normal((5, 50, 8)) + 1j * rng.standard_normal((5, 50, 8))
     for frames in (1, 2, 5, 33, 50):
-        _, cov, _ = realized_weights(stack(chans[:, :, :frames]))
+        _, cov, _ = realized_weights(stack(chans[:, :frames]))
         scale = np.abs(cov).max()
         assert np.abs(cov - np.conj(np.transpose(cov, (0, 2, 1)))).max() <= 1e-7 * scale
         eigs = np.linalg.eigvalsh(cov.astype(complex))
@@ -269,12 +287,12 @@ def test_covariance_stays_hermitian_psd(realized_weights):
 
 
 def test_process_validates_inputs():
-    aug = stack(np.ones((2, 8, 5), dtype=complex))
+    aug = stack(np.ones((2, 5, 8), dtype=complex))
     for beta_x in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError, match="beta_x"):
             cmpdr_process(aug, beta_x=beta_x)
     with pytest.raises(ValueError, match="match"):
-        cmpdr_process(aug, companion=stack(np.ones((2, 8, 6), dtype=complex)))
+        cmpdr_process(aug, companion=stack(np.ones((2, 6, 8), dtype=complex)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -325,10 +343,13 @@ def test_companion_cofiltering_is_linear_for_any_stack(chans, seed):
     assert err <= 1e-9 * max(np.abs(y_ab.data).max(), 1e-300)
 
 
-def frame_major(chans):
-    """The values of a (C, K, L) array as the transposed view of a (C, L, K)
-    stack, the layout build_augmented produces."""
-    return np.ascontiguousarray(chans.transpose(0, 2, 1)).transpose(0, 2, 1)
+def bins_major(chans):
+    """The values of a (C, L, K) stack in the transposed view of a (C, K, L)
+    array, so that each bin's frames are contiguous."""
+    c, l, k = chans.shape
+    view = np.empty((c, k, l), dtype=chans.dtype).transpose(0, 2, 1)
+    view[...] = chans
+    return view
 
 
 @settings(max_examples=25, deadline=None)
@@ -336,25 +357,25 @@ def frame_major(chans):
 def test_output_does_not_depend_on_stack_layout(chans, seed):
     rng = np.random.default_rng(seed)
     comp = rng.standard_normal(chans.shape) + 1j * rng.standard_normal(chans.shape)
-    c_ordered, f_major = stack(np.ascontiguousarray(chans)), stack(frame_major(chans))
-    assert f_major.channels.strides[1] == f_major.channels.itemsize  # bins contiguous
-    assert np.array_equal(cmpdr_process(c_ordered).data, cmpdr_process(f_major).data)
+    c_ordered, b_major = stack(np.ascontiguousarray(chans)), stack(bins_major(chans))
+    assert b_major.channels.strides[1] == b_major.channels.itemsize  # frames contiguous
+    assert np.array_equal(cmpdr_process(c_ordered).data, cmpdr_process(b_major).data)
     y_c, comp_c = cmpdr_process(c_ordered, companion=stack(np.ascontiguousarray(comp)))
-    y_f, comp_f = cmpdr_process(f_major, companion=stack(frame_major(comp)))
-    assert np.array_equal(y_c.data, y_f.data)
-    assert np.array_equal(comp_c.data, comp_f.data)
+    y_b, comp_b = cmpdr_process(b_major, companion=stack(bins_major(comp)))
+    assert np.array_equal(y_c.data, y_b.data)
+    assert np.array_equal(comp_c.data, comp_b.data)
 
 
 def test_all_zero_stack_passes_through(realized_weights):
-    out, cov, weights = realized_weights(stack(np.zeros((3, 16, 100), dtype=complex)))
+    out, cov, weights = realized_weights(stack(np.zeros((3, 100, 16), dtype=complex)))
     assert np.all(out.data == 0)
     assert np.all(cov == 0)
     assert np.all(weights == np.array([1.0, 0.0, 0.0], dtype=np.complex64))
 
 
 def test_loud_onset_after_silence_stays_finite(realized_weights):
-    chans = np.zeros((4, 16, 200), dtype=complex)
-    chans[:, :, 100:] = 1e6 * random_channels(4, 16, 100, seed=11)
+    chans = np.zeros((4, 200, 16), dtype=complex)
+    chans[:, 100:] = 1e6 * random_channels(4, 16, 100, seed=11)
     out, _, weights = realized_weights(stack(chans))
     assert np.isfinite(out.data).all()
     assert np.isfinite(weights).all()
@@ -364,14 +385,14 @@ def test_loud_onset_after_silence_stays_finite(realized_weights):
 def test_non_finite_bin_is_contained(realized_weights):
     chans = random_channels(3, 16, 150, seed=12)
     ref = cmpdr_process(stack(chans)).data
-    chans[1, 5, 70] = np.nan
+    chans[1, 70, 5] = np.nan
     out, _, weights = realized_weights(stack(chans))
     out = out.data
     others = np.arange(16) != 5
-    assert np.array_equal(out[others], ref[others])
+    assert np.array_equal(out[:, others], ref[:, others])
     finite = np.isfinite(out)
-    assert not finite[5, 70]  # the frame whose input is NaN
-    finite[5, 70] = True
+    assert not finite[70, 5]  # the frame whose input is NaN
+    finite[70, 5] = True
     assert finite.all()
     assert np.isfinite(weights).all()
 
@@ -389,9 +410,9 @@ def test_blocks_with_a_carried_state_equal_one_call(c, k, l, seed, data):
     # bin: both read the frames since the last anchor, across block edges
     chans = random_channels(c, k, l, seed)
     onset = data.draw(st.integers(0, l - 1), label="onset")
-    chans[:, :, :onset] = 0.0
-    chans[:, :, onset:] *= 1e6
-    chans[c - 1, data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, l - 1))] = np.nan
+    chans[:, :onset] = 0.0
+    chans[:, onset:] *= 1e6
+    chans[c - 1, data.draw(st.integers(0, l - 1)), data.draw(st.integers(0, k - 1))] = np.nan
     comp = random_channels(c, k, l, seed + 1)
     # the first block holds the warm-start frames; later edges fall anywhere
     cuts = data.draw(
@@ -402,14 +423,14 @@ def test_blocks_with_a_carried_state_equal_one_call(c, k, l, seed, data):
     whole, whole_comp = cmpdr_process(stack(chans), companion=stack(comp))
     state = beamformer.CmpdrState()
     parts = [
-        cmpdr_process(stack(chans[:, :, a:b]), companion=stack(comp[:, :, a:b]), state=state)
+        cmpdr_process(stack(chans[:, a:b]), companion=stack(comp[:, a:b]), state=state)
         for a, b in zip(edges, edges[1:])
     ]
     assert np.array_equal(
-        np.concatenate([p.data for p, _ in parts], axis=1), whole.data, equal_nan=True
+        np.concatenate([p.data for p, _ in parts]), whole.data, equal_nan=True
     )
     assert np.array_equal(
-        np.concatenate([q.data for _, q in parts], axis=1), whole_comp.data, equal_nan=True
+        np.concatenate([q.data for _, q in parts]), whole_comp.data, equal_nan=True
     )
 
 

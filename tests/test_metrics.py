@@ -65,6 +65,26 @@ def test_si_sdr_rejects_degenerate():
         si_sdr(x, AudioBuffer(np.ones(99), FS))
 
 
+@pytest.mark.parametrize("metric", [si_sdr, stoi])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("which", ["estimate", "reference"])
+def test_metrics_refuse_non_finite_samples(speech_4s, metric, bad, which):
+    samples = speech_4s.samples.copy()
+    samples[5000] = bad
+    pair = {"estimate": speech_4s, "reference": speech_4s, which: AudioBuffer(samples, FS)}
+    with pytest.raises(ValueError, match=f"{which} has a non-finite sample .* at index 5000"):
+        metric(pair["estimate"], pair["reference"])
+
+
+def test_stoi_rejects_degenerate(speech_4s):
+    with pytest.raises(ValueError, match="zero energy"):
+        stoi(speech_4s, AudioBuffer(np.zeros(len(speech_4s)), FS))
+    with pytest.raises(ValueError, match="length"):
+        stoi(speech_4s, AudioBuffer(speech_4s.samples[:-1], FS))
+    with pytest.raises(ValueError, match="sample-rate mismatch"):
+        stoi(speech_4s, AudioBuffer(speech_4s.samples, 2 * FS))
+
+
 def test_stoi_self_scores_near_one(speech_4s):
     assert stoi(speech_4s, speech_4s) >= 0.999
 

@@ -25,7 +25,6 @@ from cyclospeech.modset import (
     _bin_cross,
     _bin_energy,
     _refine_shift,
-    _rows,
     _ShiftSearch,
     _top_support_bins,
 )
@@ -152,38 +151,38 @@ def test_self_coherence_exact_and_silence_rejected(cfg16k, seed, duration, log_s
     frames=st.integers(1, 700),
     decades=st.floats(0.0, 8.0),
     mix=st.floats(0.0, 1.0),
-    frame_major=st.booleans(),
+    bins_major=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_frame_sum_kernels_match_direct_sums(bins, frames, decades, mix, frame_major, seed):
+def test_frame_sum_kernels_match_direct_sums(bins, frames, decades, mix, bins_major, seed):
     rng = np.random.default_rng(seed)
 
     def draw():
-        z = rng.standard_normal((bins, frames)) + 1j * rng.standard_normal((bins, frames))
-        return z * 10.0 ** rng.uniform(-decades, decades, size=(bins, 1))
+        z = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
+        return z * 10.0 ** rng.uniform(-decades, decades, size=bins)
 
     x = draw()
     y = mix * x * np.exp(1j * rng.uniform(0, 2 * np.pi)) + (1.0 - mix) * draw()
-    if frame_major:  # the layout stft writes: (bins, frames) over frame-major memory
+    if bins_major:  # (frames, bins) over bins-major memory: a non-contiguous view
         x, y = np.asfortranarray(x), np.asfortranarray(y)
 
     def direct(a, b):
-        return np.sum(a * np.conj(b), axis=1)
+        return np.sum(a * np.conj(b), axis=0)
 
     e_x, e_y = _bin_energy(x), _bin_energy(y)
     np.testing.assert_allclose(e_x, direct(x, x).real, rtol=1e-12, atol=0)
     top, _ = _top_support_bins(e_x, e_y)
-    cross = _bin_cross(_rows(x, top), _rows(y, top))
+    cross = _bin_cross(x[:, top], y[:, top])
     # relative to the Cauchy-Schwarz bound, the scale coherence divides by:
     # independent spectra can cancel far below it
     scale = np.sqrt(e_x[top] * e_y[top])
-    assert np.all(np.abs(cross - direct(x[top], y[top])) <= 1e-12 * scale)
+    assert np.all(np.abs(cross - direct(x[:, top], y[:, top])) <= 1e-12 * scale)
 
     self_cross = _bin_cross(x, x)
     assert np.all(self_cross.imag == 0.0)
     assert np.array_equal(self_cross.real, e_x)
     # a bin's sum does not depend on the bins gathered with it
-    assert np.array_equal(_bin_cross(_rows(x, top), _rows(x, top)).real, e_x[top])
+    assert np.array_equal(_bin_cross(x[:, top], x[:, top]).real, e_x[top])
 
 
 def test_white_noise_coherence_low(cfg16k, white_10s):
@@ -306,11 +305,11 @@ def test_reports_do_not_depend_on_the_thread_budget(cfg16k, monkeypatch, make):
 def _full_grid_offset(products, cfg, search_hz):
     """Reference: the full zero-padded FFT along frames, argmax in window."""
     frame_rate = cfg.sample_rate / cfg.hop
-    n_frames = products.shape[1]
+    n_frames = products.shape[0]
     nfft = 1
     while nfft < max(2 * n_frames, frame_rate / 0.01):
         nfft *= 2
-    spectrum = np.abs(np.fft.fft(products, n=nfft, axis=1)).sum(axis=0)
+    spectrum = np.abs(np.fft.fft(products, n=nfft, axis=0)).sum(axis=1)
     deltas = np.fft.fftfreq(nfft, d=1.0 / frame_rate)
     in_window = np.abs(deltas) <= search_hz
     return float(deltas[np.argmax(np.where(in_window, spectrum, -np.inf))])
@@ -325,8 +324,8 @@ def _full_grid_offset(products, cfg, search_hz):
 )
 def test_chirp_z_search_matches_full_grid(cfg16k, n_frames, rows, search_hz, seed):
     rng = np.random.default_rng(seed)
-    products = rng.standard_normal((rows, n_frames)) + 1j * rng.standard_normal(
-        (rows, n_frames)
+    products = rng.standard_normal((n_frames, rows)) + 1j * rng.standard_normal(
+        (n_frames, rows)
     )
     search = _ShiftSearch(n_frames, cfg16k, search_hz)
     assert search.best_offset(products) == _full_grid_offset(products, cfg16k, search_hz)
@@ -346,19 +345,19 @@ def test_refined_shift_matches_full_grid(cfg16k, f0, miss, duration, seed):
     alpha = f0 + miss * WELCH_RES
     base = stft(noise, cfg16k).data
     e_base = _bin_energy(base)
-    search = _ShiftSearch(base.shape[1], cfg16k, WELCH_RES)
+    search = _ShiftSearch(base.shape[0], cfg16k, WELCH_RES)
     refined = _refine_shift(base, e_base, noise, alpha, cfg16k, search)
 
     shifted = stft(modulate(noise, alpha), cfg16k).data
     top, _ = _top_support_bins(e_base, _bin_energy(shifted))
-    products = base[top] * np.conj(shifted[top])
+    products = base[:, top] * np.conj(shifted[:, top])
     assert refined == alpha + _full_grid_offset(products, cfg16k, WELCH_RES)
 
 
 def test_refine_shift_of_silence_keeps_coarse_shift(cfg16k):
     silence = AudioBuffer(np.zeros(3 * FS), FS)
     base = stft(silence, cfg16k).data
-    search = _ShiftSearch(base.shape[1], cfg16k, WELCH_RES)
+    search = _ShiftSearch(base.shape[0], cfg16k, WELCH_RES)
     assert _refine_shift(base, _bin_energy(base), silence, 101.3, cfg16k, search) == 101.3
 
 

@@ -43,7 +43,7 @@ def test_default_config_valid_and_round_trips(fs):
     assert cfg.cola_deviation() <= 1e-10
     x = np.random.default_rng(fs).standard_normal(fs // 2 + 17)
     spec = stft(AudioBuffer(x, fs), cfg)
-    assert spec.shape[0] == cfg.fft_size
+    assert spec.shape[1] == cfg.fft_size
     out = np.zeros(len(x), dtype=complex)
     istft(spec, out)
     assert len(out) == len(x)
@@ -52,7 +52,7 @@ def test_default_config_valid_and_round_trips(fs):
 
 def test_zero_signal_gives_zero_spectrogram(cfg16k):
     spec = stft(AudioBuffer(np.zeros(4000), FS), cfg16k)
-    assert spec.shape[0] == 512
+    assert spec.shape[1] == 512
     assert np.all(spec.data == 0)
 
 
@@ -62,7 +62,7 @@ def test_bin_center_exponential_peaks_at_its_bin(cfg16k):
     n = np.arange(3 * cfg16k.frame_len)
     sig = AudioBuffer(np.exp(2j * np.pi * f * n / FS), FS)
     spec = stft(sig, cfg16k)
-    argmax = np.argmax(np.abs(spec.data), axis=0)
+    argmax = np.argmax(np.abs(spec.data), axis=1)
     assert np.all(argmax == k0)
 
 
@@ -77,7 +77,7 @@ def test_one_column_matches_direct_windowed_fft(cfg16k):
     for col in (0, 3, 7):
         frame = padded[col * cfg16k.hop : col * cfg16k.hop + cfg16k.frame_len]
         expected = np.fft.fft(frame * cfg16k.window, n=cfg16k.fft_size)
-        assert np.allclose(spec.data[:, col], expected, atol=1e-12)
+        assert np.allclose(spec.data[col], expected, atol=1e-12)
 
 
 def test_roundtrip_interior_error(cfg16k):
@@ -92,7 +92,7 @@ def test_roundtrip_interior_error(cfg16k):
 
 
 def test_zero_spectrogram_inverts_to_zero(cfg16k):
-    spec = ComplexSpectrogram(np.zeros((512, 20), dtype=complex), cfg16k)
+    spec = ComplexSpectrogram(np.zeros((20, 512), dtype=complex), cfg16k)
     out = np.zeros(20 * cfg16k.hop - cfg16k.pad, dtype=complex)
     istft(spec, out)
     assert np.all(out == 0)
@@ -129,7 +129,7 @@ def test_parseval_per_frame(cfg16k):
     for col in (1, 5, 10):
         frame = padded[col * cfg16k.hop : col * cfg16k.hop + cfg16k.frame_len]
         time_energy = np.sum((frame * cfg16k.window) ** 2)
-        freq_energy = np.sum(np.abs(spec.data[:, col]) ** 2) / cfg16k.fft_size
+        freq_energy = np.sum(np.abs(spec.data[col]) ** 2) / cfg16k.fft_size
         assert abs(time_energy - freq_energy) <= 1e-9 * max(time_energy, 1e-30)
 
 

@@ -18,7 +18,6 @@ from .modset import (
     candidate_modulations,
     estimate_modulation_set_detailed,
     pick_peaks,
-    spectral_coherence,
     welch_periodogram,
 )
 from .modulation import AugmentedSpectrogram, ModulationSet, build_augmented, modulate

@@ -9,50 +9,53 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+from ._fields import field_parser
 from .dataset import SynthSettings, eval_dataset, synth_dataset
 from .pipeline import (
     PipelineConfig,
     PipelineError,
-    field_parser,
     run_pipeline,
     select_modulation_set,
 )
-from .wavio import ENCODINGS, read_wav
+from .wavio import read_wav
 
 logger = logging.getLogger(__name__)
 
-_MODSET_HELP = "comma-separated shifts in Hz (e.g. 0,110,220) to bypass estimation"
 
-
-def _add_config_args(parser: argparse.ArgumentParser) -> None:
-    """One flag per ``PipelineConfig`` field, ``--dashed-name`` (``--modset``
-    for ``forced_modset``), parsed as ``PipelineConfig.from_mapping`` parses
-    that key, with the field's admissible values as its help; the config
-    checks them. A flag left out is absent from the namespace."""
-    parser.add_argument("--config", help="flat key=value config file")
-    for f in fields(PipelineConfig):
-        is_modset = f.name == "forced_modset"
-        allowed = f.metadata.get("admits")
+def _add_settings_args(parser: argparse.ArgumentParser, cls) -> None:
+    """One flag per field of the settings dataclass ``cls``, ``--dashed-name``
+    unless the field's metadata names it, parsed as a config file parses that
+    key, with the field's admissible values as its help; the settings check
+    them. A flag left out is absent from the namespace."""
+    for f in fields(cls):
+        allowed, default = f.metadata.get("admits"), f.default
         if isinstance(allowed, tuple):
             allowed = "one of {" + ", ".join(allowed) + "}"
+        elif isinstance(default, tuple):
+            allowed = f"comma-separated, each in {allowed}"
+            default = ",".join(map(str, default))
         else:
             allowed = f"in {allowed}"
         parser.add_argument(
-            "--modset" if is_modset else "--" + f.name.replace("_", "-"),
+            "--" + f.metadata.get("flag", f.name).replace("_", "-"),
             dest=f.name,
-            type=field_parser(f.name),
+            type=field_parser(cls, f.name),
             default=argparse.SUPPRESS,
-            help=_MODSET_HELP if is_modset else f"{allowed}, default {f.default}",
+            help=f.metadata.get("help", f"{allowed}, default {default}"),
         )
+
+
+def _given(cls, args: argparse.Namespace) -> dict:
+    """The fields of ``cls`` that a flag set."""
+    given = vars(args)
+    return {f.name: given[f.name] for f in fields(cls) if f.name in given}
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     config = (
         PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
     )
-    given = vars(args)
-    overrides = {f.name: given[f.name] for f in fields(config) if f.name in given}
-    return replace(config, **overrides)
+    return replace(config, **_given(PipelineConfig, args))
 
 
 def _log_config(config: PipelineConfig, log_path=None, echo: bool = True) -> None:
@@ -65,16 +68,7 @@ def _log_config(config: PipelineConfig, log_path=None, echo: bool = True) -> Non
 
 
 def _cmd_synth(args) -> int:
-    settings = SynthSettings(
-        seed=args.seed,
-        snr_range=(args.snr_min, args.snr_max),
-        f0_range=(args.f0_min, args.f0_max),
-        num_harmonics=args.harmonics,
-        correlation=args.correlation,
-        envelope_rate=args.envelope_rate,
-        amplitude_decay=args.amplitude_decay,
-        encoding=args.encoding,
-    )
+    settings = SynthSettings(**_given(SynthSettings, args))
     manifest = synth_dataset(args.clean_dir, args.out_dir, settings)
     print(f"wrote {manifest}")
     return 0
@@ -139,17 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="synthesize a noisy dataset")
     p_synth.add_argument("--clean-dir", required=True)
     p_synth.add_argument("--out-dir", required=True)
-    synth = SynthSettings()
-    p_synth.add_argument("--seed", type=int, default=synth.seed)
-    p_synth.add_argument("--snr-min", type=float, default=synth.snr_range[0])
-    p_synth.add_argument("--snr-max", type=float, default=synth.snr_range[1])
-    p_synth.add_argument("--f0-min", type=float, default=synth.f0_range[0])
-    p_synth.add_argument("--f0-max", type=float, default=synth.f0_range[1])
-    p_synth.add_argument("--harmonics", type=int, default=synth.num_harmonics)
-    p_synth.add_argument("--correlation", type=float, default=synth.correlation)
-    p_synth.add_argument("--envelope-rate", type=float, default=synth.envelope_rate)
-    p_synth.add_argument("--amplitude-decay", type=float, default=synth.amplitude_decay)
-    p_synth.add_argument("--encoding", choices=ENCODINGS, default=synth.encoding)
+    _add_settings_args(p_synth, SynthSettings)
     p_synth.set_defaults(func=_cmd_synth)
 
     p_enh = sub.add_parser("enhance", help="enhance a single WAV file")
@@ -157,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enh.add_argument("output")
     p_enh.add_argument("--reference", help="clean WAV for oracle mask / metrics")
     p_enh.add_argument("--log", help="write the resolved config to this file")
-    _add_config_args(p_enh)
+    p_enh.add_argument("--config", help="flat key=value config file")
+    _add_settings_args(p_enh, PipelineConfig)
     p_enh.set_defaults(func=_cmd_enhance)
 
     p_eval = sub.add_parser("eval", help="batch-evaluate pipelines on a dataset")
@@ -169,12 +154,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="preproc:mask pair (repeatable), e.g. cmpdr:oracle-irm",
     )
     p_eval.add_argument("--workers", type=int, default=1)
-    _add_config_args(p_eval)
+    p_eval.add_argument("--config", help="flat key=value config file")
+    _add_settings_args(p_eval, PipelineConfig)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_mod = sub.add_parser("modset", help="estimate and print the modulation set")
     p_mod.add_argument("input")
-    _add_config_args(p_mod)
+    p_mod.add_argument("--config", help="flat key=value config file")
+    _add_settings_args(p_mod, PipelineConfig)
     p_mod.set_defaults(func=_cmd_modset)
 
     return parser

@@ -12,12 +12,13 @@ from __future__ import annotations
 import csv
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import modset
+from ._fields import check_fields
 from .metrics import (
     MetricRecord,
     aggregate,
@@ -57,34 +58,36 @@ MANIFEST_FIELDS = [
 ]
 
 
+def _noise_field(name: str, **overrides):
+    """A field declared as the ``HarmonicNoiseParams`` field ``name`` is:
+    its admissible values and, unless overridden, its default."""
+    noise = next(f for f in fields(HarmonicNoiseParams) if f.name == name)
+    return field(**{"default": noise.default, "metadata": noise.metadata, **overrides})
+
+
 @dataclass
 class SynthSettings:
-    seed: int = 0
-    snr_range: tuple[float, float] = (-20.0, 0.0)
-    f0_range: tuple[float, float] = (60.0, 150.0)
-    num_harmonics: int = HarmonicNoiseParams.num_harmonics
-    correlation: float = HarmonicNoiseParams.correlation
-    envelope_rate: float = HarmonicNoiseParams.envelope_rate
-    amplitude_decay: float = HarmonicNoiseParams.amplitude_decay
-    encoding: str = "float32"
+    """Per file, ``synth_dataset`` draws f0 and SNR from U(low, high) of
+    ``f0_range`` and ``snr_range``."""
+
+    seed: int = field(default=0, metadata={"admits": "[0, inf)"})
+    snr_range: tuple[float, float] = field(
+        default=(-20.0, 0.0), metadata={"admits": "(-inf, inf)"}
+    )
+    f0_range: tuple[float, float] = _noise_field("f0", default=(60.0, 150.0))
+    num_harmonics: int = _noise_field("num_harmonics")
+    correlation: float = _noise_field("correlation")
+    envelope_rate: float = _noise_field("envelope_rate")
+    amplitude_decay: float = _noise_field("amplitude_decay")
+    encoding: str = field(default="float32", metadata={"admits": ENCODINGS})
 
     def __post_init__(self):
-        if not (np.isfinite(self.snr_range).all() and self.snr_range[0] <= self.snr_range[1]):
-            raise ValueError("snr_range must be finite and (low, high)")
-        if not (np.isfinite(self.f0_range).all() and 0 < self.f0_range[0] <= self.f0_range[1]):
-            raise ValueError("f0_range must be finite, positive and ordered")
-        if self.encoding not in ENCODINGS:
-            raise ValueError(f"encoding must be one of {ENCODINGS}, not {self.encoding!r}")
-        # the seed and the noise fields are checked here, before synth_dataset
-        # writes anything
-        HarmonicNoiseParams(
-            f0=self.f0_range[0],
-            seed=self.seed,
-            num_harmonics=self.num_harmonics,
-            correlation=self.correlation,
-            envelope_rate=self.envelope_rate,
-            amplitude_decay=self.amplitude_decay,
-        )
+        # checked here, before synth_dataset writes anything
+        check_fields(self)
+        for name in ("snr_range", "f0_range"):
+            low, high = getattr(self, name)
+            if low > high:
+                raise ValueError(f"{name} must be (low, high), got {(low, high)!r}")
 
 
 def synth_dataset(clean_dir, out_dir, settings: SynthSettings | None = None) -> Path:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -181,8 +181,21 @@ def stoi(estimate: AudioBuffer, reference: AudioBuffer) -> float:
     return float(np.mean(scores))
 
 
-def _bucket_label(lo: float, hi: float, closed: bool) -> str:
-    return f"[{lo:g},{hi:g}{']' if closed else ')'}"
+def _group_means(records: list[MetricRecord], key, names: tuple) -> list[dict]:
+    """One row per distinct ``key(record)``, in key order: the key's parts
+    under ``names``, the record count and the mean SI-SDR and STOI."""
+    groups: dict[tuple, list[MetricRecord]] = {}
+    for rec in records:
+        groups.setdefault(key(rec), []).append(rec)
+    return [
+        {
+            **dict(zip(names, parts)),
+            "count": len(recs),
+            "si_sdr_db": float(np.mean([r.si_sdr_db for r in recs])),
+            "stoi": float(np.mean([r.stoi for r in recs])),
+        }
+        for parts, recs in sorted(groups.items())
+    ]
 
 
 def aggregate(records: list[MetricRecord]) -> list[dict]:
@@ -193,61 +206,37 @@ def aggregate(records: list[MetricRecord]) -> list[dict]:
     """
     if not records:
         raise ValueError("no records to aggregate")
-    groups: dict[tuple[str, str, str], list[MetricRecord]] = {}
-    labels = [
-        _bucket_label(lo, hi, closed=(i == len(SNR_BUCKETS) - 1))
-        for i, (lo, hi) in enumerate(SNR_BUCKETS)
-    ]
-    for rec in records:
-        label = "other"
-        for i, (lo, hi) in enumerate(SNR_BUCKETS):
-            last = i == len(SNR_BUCKETS) - 1
-            if lo <= rec.input_snr_db < hi or (last and rec.input_snr_db == hi):
-                label = labels[i]
-                break
-        groups.setdefault((label, rec.preproc, rec.mask), []).append(rec)
+    last = len(SNR_BUCKETS) - 1
+    labels = [f"[{lo:g},{hi:g}{']' if i == last else ')'}" for i, (lo, hi) in enumerate(SNR_BUCKETS)]
+    labels.append("other")
 
-    order = {label: i for i, label in enumerate([*labels, "other"])}
-    rows = []
-    for (label, preproc, mask) in sorted(
-        groups, key=lambda k: (order[k[0]], k[1], k[2])
-    ):
-        recs = groups[(label, preproc, mask)]
-        rows.append(
-            {
-                "snr_bucket": label,
-                "preproc": preproc,
-                "mask": mask,
-                "count": len(recs),
-                "si_sdr_db": float(np.mean([r.si_sdr_db for r in recs])),
-                "stoi": float(np.mean([r.stoi for r in recs])),
-                "dnsmos": "",
-                "pesq": "",
-            }
-        )
+    def bucket(snr_db: float) -> int:
+        for i, (lo, hi) in enumerate(SNR_BUCKETS):
+            if lo <= snr_db < hi or (i == last and snr_db == hi):
+                return i
+        return len(SNR_BUCKETS)
+
+    rows = _group_means(
+        records,
+        lambda r: (bucket(r.input_snr_db), r.preproc, r.mask),
+        ("snr_bucket", "preproc", "mask"),
+    )
+    for row in rows:
+        row.update(snr_bucket=labels[row["snr_bucket"]], dnsmos="", pesq="")
     return rows
 
 
 def curve_points(records: list[MetricRecord]) -> list[dict]:
     """Metric-vs-SNR curve samples: means over SNR bins ``CURVE_BIN_DB`` wide."""
-    groups: dict[tuple[str, str, float], list[MetricRecord]] = {}
-    for rec in records:
-        center = (math.floor(rec.input_snr_db / CURVE_BIN_DB) + 0.5) * CURVE_BIN_DB
-        groups.setdefault((rec.preproc, rec.mask, center), []).append(rec)
-    rows = []
-    for (preproc, mask, center) in sorted(groups):
-        recs = groups[(preproc, mask, center)]
-        rows.append(
-            {
-                "preproc": preproc,
-                "mask": mask,
-                "snr_bin_db": center,
-                "count": len(recs),
-                "si_sdr_db": float(np.mean([r.si_sdr_db for r in recs])),
-                "stoi": float(np.mean([r.stoi for r in recs])),
-            }
-        )
-    return rows
+
+    def center(snr_db: float) -> float:
+        return (math.floor(snr_db / CURVE_BIN_DB) + 0.5) * CURVE_BIN_DB
+
+    return _group_means(
+        records,
+        lambda r: (r.preproc, r.mask, center(r.input_snr_db)),
+        ("preproc", "mask", "snr_bin_db"),
+    )
 
 
 def _fmt(value) -> str:
@@ -256,28 +245,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_records_csv(path, records: list[MetricRecord]) -> None:
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["file", "input_snr_db", "preproc", "mask", "si_sdr_db", "stoi"])
-        for r in records:
-            writer.writerow(
-                [
-                    r.file,
-                    _fmt(r.input_snr_db),
-                    r.preproc,
-                    r.mask,
-                    _fmt(r.si_sdr_db),
-                    _fmt(r.stoi),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def write_records_csv(path, records: list[MetricRecord]) -> None:
+    names = [f.name for f in fields(MetricRecord)]
+    _write_csv(path, names, ([getattr(r, n) for n in names] for r in records))
 
 
 def write_table_csv(path, rows: list[dict]) -> None:
     if not rows:
         raise ValueError("no rows to write")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(rows[0].keys())
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row.values()])
+    _write_csv(path, rows[0].keys(), (row.values() for row in rows))

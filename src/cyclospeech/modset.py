@@ -41,7 +41,6 @@ __all__ = [
     "welch_periodogram",
     "pick_peaks",
     "candidate_modulations",
-    "spectral_coherence",
     "estimate_modulation_set_detailed",
 ]
 
@@ -284,22 +283,6 @@ def _coherence_between(
     top, weights = top[valid], weights[valid]
     cross = np.abs(_bin_cross(base[:, top], shifted[:, top]))
     return float(np.average(cross / np.sqrt(weights), weights=weights))
-
-
-def spectral_coherence(signal: AudioBuffer, alpha: float, cfg: StftConfig) -> float:
-    """Coherence between the signal's spectrogram and its copy
-    frequency-shifted by ``alpha`` Hz.
-
-    Exactly 1 for alpha = 0 on any finite, non-silent input: the energy and
-    cross terms share one expression (see ``_coherence_between``). For
-    alpha != 0 it lies in [0, 1] up to rounding. Raises ``ValueError`` on a
-    zero-energy input, whatever alpha is."""
-    base = stft(signal, cfg).data
-    if alpha == 0.0:
-        shifted = base
-    else:
-        shifted = stft(modulate(signal, alpha), cfg).data
-    return _coherence_between(base, _bin_energy(base), shifted)
 
 
 class _ShiftSearch:

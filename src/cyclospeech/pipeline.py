@@ -4,14 +4,13 @@ the wav-in/wav-out entry point."""
 from __future__ import annotations
 
 import logging
-import numbers
-import typing
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from . import modset as modset_module
+from ._fields import check_fields, field_parser
 from .baselines import (
     MinStatsState,
     apply_mask,
@@ -44,22 +43,14 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
-def _within(allowed: str, value) -> bool:
-    """Whether ``value`` lies in an interval written "(0, 1)", "[2, inf)"..."""
-    low, high = (float(b) for b in allowed[1:-1].split(","))
-    above = low < value if allowed[0] == "(" else low <= value
-    below = value < high if allowed[-1] == ")" else value <= high
-    return above and below
-
-
 @dataclass
 class PipelineConfig:
     """Everything one enhancement run depends on; loadable from a flat
     key=value file with CLI overrides.
 
     A field's metadata ``admits`` is its admissible values, an interval
-    string or a tuple of choices, checked at construction and shown in the
-    field's CLI help.
+    string or a tuple of choices, checked at construction (see ``_fields``)
+    and shown in the field's CLI help.
     """
 
     sample_rate: int = field(default=16000, metadata={"admits": "(0, inf)"})
@@ -82,22 +73,17 @@ class PipelineConfig:
     gain_floor_db: float = field(default=-25.0, metadata={"admits": "(-inf, 0)"})
     # when set, bypasses estimation entirely: zero first, distinct, each
     # below the Nyquist frequency
-    forced_modset: Optional[tuple[float, ...]] = None
+    forced_modset: Optional[tuple[float, ...]] = field(
+        default=None,
+        metadata={
+            "flag": "modset",
+            "help": "comma-separated shifts in Hz (e.g. 0,110,220) to bypass estimation",
+        },
+    )
 
     def __post_init__(self):
-        for f in fields(self):
-            allowed = f.metadata.get("admits")
-            value = getattr(self, f.name)
-            if _FIELD_TYPES[f.name] is int and (
-                isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            ):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if isinstance(allowed, tuple) and value not in allowed:
-                raise ValueError(f"{f.name} must be one of {allowed}, got {value!r}")
-            if isinstance(allowed, str) and not _within(allowed, value):
-                raise ValueError(f"{f.name} must lie in {allowed}, got {value!r}")
+        check_fields(self)
         if self.forced_modset is not None:
-            self.forced_modset = tuple(float(s) for s in self.forced_modset)
             try:
                 ModulationSet(self.forced_modset).validate_for_rate(self.sample_rate)
             except ValueError as exc:
@@ -127,11 +113,12 @@ class PipelineConfig:
     @classmethod
     def from_mapping(cls, mapping: dict) -> "PipelineConfig":
         kwargs = {}
+        names = {f.name for f in fields(cls)}
         for key, raw in mapping.items():
-            if key not in _FIELD_TYPES:
+            if key not in names:
                 raise ValueError(f"unknown config key {key!r}")
             try:
-                kwargs[key] = field_parser(key)(raw) if isinstance(raw, str) else raw
+                kwargs[key] = field_parser(cls, key)(raw) if isinstance(raw, str) else raw
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
         return cls(**kwargs)
@@ -149,20 +136,6 @@ class PipelineConfig:
                 key, _, value = line.partition("=")
                 mapping[key.strip()] = value.strip()
         return cls.from_mapping(mapping)
-
-
-_FIELD_TYPES = typing.get_type_hints(PipelineConfig)
-
-
-def _parse_shifts(raw: str) -> Optional[tuple[float, ...]]:
-    raw = raw.strip()
-    return tuple(float(tok) for tok in raw.split(",")) if raw else None
-
-
-def field_parser(name: str):
-    """The string parser of one config field: its annotated type, except for
-    ``forced_modset``, which is comma-separated shifts ("" for none)."""
-    return _parse_shifts if name == "forced_modset" else _FIELD_TYPES[name]
 
 
 def select_modulation_set(

@@ -14,11 +14,11 @@ spectrally coherent, which defeats the parameter's purpose.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fields import check_fields
 from .stft import AudioBuffer
 
 __all__ = [
@@ -30,41 +30,25 @@ __all__ = [
 ]
 
 
-def _require_int(name: str, value, low: int) -> None:
-    """Refuse a ``value`` that is not an integer (a bool is not) of at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{name} must be an integer of at least {low}, not {value!r}")
-
-
 @dataclass
 class HarmonicNoiseParams:
-    f0: float
-    num_harmonics: int = 10
-    correlation: float = 0.9
-    envelope_rate: float = 5.0
-    amplitude_decay: float = 0.5
-    seed: int = 0
+    f0: float = field(metadata={"admits": "(0, inf)"})
+    num_harmonics: int = field(default=10, metadata={"admits": "[1, inf)"})
+    correlation: float = field(default=0.9, metadata={"admits": "[0, 1]"})
+    envelope_rate: float = field(default=5.0, metadata={"admits": "(0, inf)"})
+    amplitude_decay: float = field(default=0.5, metadata={"admits": "(-inf, inf)"})
+    seed: int = field(default=0, metadata={"admits": "[0, inf)"})
 
     def __post_init__(self):
-        if not 0.0 < self.f0 < np.inf:
-            raise ValueError("f0 must be positive and finite")
-        _require_int("num_harmonics", self.num_harmonics, 1)
-        _require_int("seed", self.seed, 0)
-        if not 0.0 <= self.correlation <= 1.0:
-            raise ValueError("correlation must lie in [0, 1]")
-        if not 0.0 < self.envelope_rate < np.inf:
-            raise ValueError("envelope_rate must be positive and finite")
-        if not np.isfinite(self.amplitude_decay):
-            raise ValueError("amplitude_decay must be finite")
+        check_fields(self)
 
 
 @dataclass
 class MixSpec:
-    snr_db: float
+    snr_db: float = field(metadata={"admits": "(-inf, inf)"})
 
     def __post_init__(self):
-        if not np.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
+        check_fields(self)
 
 
 def _lowpass_gaussian(rng: np.random.Generator, n: int, fs: float, cutoff: float) -> np.ndarray:

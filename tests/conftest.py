@@ -7,10 +7,12 @@ from cyclospeech import (
     HarmonicNoiseParams,
     cmpdr_process,
     default_stft_config,
+    modulate,
+    stft,
     synth_harmonic_cs_noise,
     synth_speech_like,
 )
-from cyclospeech import beamformer
+from cyclospeech import beamformer, modset
 
 FS = 16000
 
@@ -78,3 +80,16 @@ def anchor_weights():
 @pytest.fixture(scope="session")
 def realized_weights():
     return _realized_weights
+
+
+def _spectral_coherence(signal, alpha, cfg):
+    """The estimator's coherence score of ``signal`` against its copy
+    shifted by ``alpha`` Hz (the unshifted spectrogram itself at 0 Hz)."""
+    base = stft(signal, cfg).data
+    shifted = base if alpha == 0.0 else stft(modulate(signal, alpha), cfg).data
+    return modset._coherence_between(base, modset._bin_energy(base), shifted)
+
+
+@pytest.fixture(scope="session")
+def spectral_coherence():
+    return _spectral_coherence

@@ -1,6 +1,5 @@
 import csv
 import hashlib
-import numbers
 from dataclasses import fields
 
 import numpy as np
@@ -19,10 +18,10 @@ from cyclospeech import (
     write_wav,
 )
 from cyclospeech import modset
-from cyclospeech.cli import _build_config, build_parser
+from cyclospeech._fields import field_parser
+from cyclospeech.cli import _build_config, _given, _log_config, build_parser
 from cyclospeech.cli import main as cli_main
 from cyclospeech.dataset import SynthSettings
-from cyclospeech.pipeline import _FIELD_TYPES
 
 FS = 16000
 
@@ -354,6 +353,27 @@ def test_every_config_field_has_a_flag_parsed_like_the_config_file(field):
     assert from_flag == PipelineConfig(**{field.name: value})
 
 
+# (flag text, value) other than the default for every SynthSettings field
+SYNTH_NON_DEFAULT = {
+    "seed": ("11", 11),
+    "snr_range": ("-15,-5", (-15.0, -5.0)),
+    "f0_range": ("80,120.5", (80.0, 120.5)),
+    "num_harmonics": ("6", 6),
+    "correlation": ("0.5", 0.5),
+    "envelope_rate": ("3", 3.0),
+    "amplitude_decay": ("1.25", 1.25),
+    "encoding": ("pcm16", "pcm16"),
+}
+
+
+@pytest.mark.parametrize("field", fields(SynthSettings), ids=lambda f: f.name)
+def test_every_synth_setting_has_a_flag(field):
+    text, value = SYNTH_NON_DEFAULT[field.name]
+    argv = ["synth", "--clean-dir", "c", "--out-dir", "o", f"{_flag(field.name)}={text}"]
+    settings = SynthSettings(**_given(SynthSettings, build_parser().parse_args(argv)))
+    assert settings == SynthSettings(**{field.name: value})
+
+
 def test_flags_override_the_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("beta_x=0.9\nmax_shifts=3\nforced_modset=0,100\n", encoding="utf-8")
@@ -376,25 +396,34 @@ def test_eval_short_clip_scores_id_and_skips_cmpdr_with_stage(tmp_path):
     assert "shorter than" in log_text
 
 
-# Values outside the range each field admits, one entry per field: ends of
-# open intervals, NaN, unknown choices, non-integers for integer fields, and
-# shift sets that are no set.
+# Values outside the range each field admits, one entry per field of
+# PipelineConfig and of SynthSettings: ends of open intervals, NaN, bools,
+# unknown choices, non-integers for integer fields, shift sets that are no
+# set, and ranges that are no (low, high) pair.
 OUT_OF_RANGE = {
     "sample_rate": (0, -8000, 16000.5),
     "preproc": ("dnn",),
     "mask": ("learned",),
-    "beta_x": (0.0, 1.0, float("nan")),
-    "diag_load": (0.0, -1e-6),
+    "beta_x": (0.0, 1.0, float("nan"), True),
+    "diag_load": (0.0, -1e-6, True),
     "peak_count": (0, 2.5),
-    "coherence_threshold": (-0.1, 1.5),
+    "coherence_threshold": (-0.1, 1.5, True),
     "max_shifts": (0, True),
     "welch_seg": (0, 1, 4096.5),
-    "welch_overlap": (-0.1, 1.0, 1.5),
-    "ms_window_sec": (0.0, -1.0),
-    "ms_alpha": (0.0, 1.0, 2.0),
-    "ms_bias": (0.5,),
-    "gain_floor_db": (0.0, 3.0),
+    "welch_overlap": (-0.1, 1.0, 1.5, True),
+    "ms_window_sec": (0.0, -1.0, True),
+    "ms_alpha": (0.0, 1.0, 2.0, True),
+    "ms_bias": (0.5, True),
+    "gain_floor_db": (0.0, 3.0, True),
     "forced_modset": ((100.0,), (0.0, 50.0, 50.0), (0.0, 8000.0)),
+    "seed": (-1, 2.5, True),
+    "snr_range": ((float("nan"), 0.0), (0.0, -10.0), (-20.0, -10.0, 0.0), (False, True)),
+    "f0_range": ((0.0, 100.0), (150.0, 60.0), (60.0, float("inf"))),
+    "num_harmonics": (0, 2.5, True),
+    "correlation": (-0.1, 1.2, float("nan"), True),
+    "envelope_rate": (0.0, float("inf"), True),
+    "amplitude_decay": (float("nan"), float("inf"), True),
+    "encoding": ("pcm24",),
 }
 
 
@@ -402,28 +431,57 @@ def _flag_text(value):
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-@pytest.mark.parametrize("field", fields(PipelineConfig), ids=lambda f: f.name)
-def test_out_of_range_value_refused_by_constructor_and_flag(field, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "cls, field",
+    [pytest.param(cls, f, id=f.name) for cls in (PipelineConfig, SynthSettings) for f in fields(cls)],
+)
+def test_out_of_range_value_refused_by_constructor_and_flag(cls, field, tmp_path, capsys):
     name = field.name
+    out = tmp_path / "ds"
+    if cls is PipelineConfig:
+        argv = ["modset", str(tmp_path / "in.wav")]
+    else:
+        clean_dir = make_clean_dir(tmp_path, count=1, duration=1.0)
+        argv = ["synth", "--clean-dir", str(clean_dir), "--out-dir", str(out)]
     for value in OUT_OF_RANGE[name]:
         with pytest.raises(ValueError, match=name):
-            PipelineConfig(**{name: value})
-        argv = ["modset", str(tmp_path / "in.wav"), f"{_flag(name)}={_flag_text(value)}"]
-        if _FIELD_TYPES[name] is int and (
-            isinstance(value, bool) or not isinstance(value, numbers.Integral)
-        ):
-            # the flag's int parser refuses a non-integer itself, through argparse
+            cls(**{name: value})
+        text = _flag_text(value)
+        flag = f"{_flag(name)}={text}"
+        try:
+            field_parser(cls, name)(text)
+        except ValueError:
+            # the flag's parser refuses the text itself, through argparse
             with pytest.raises(SystemExit) as exc:
-                cli_main(argv)
+                cli_main(argv + [flag])
             assert exc.value.code == 2
             assert _flag(name) in capsys.readouterr().err
         else:
-            assert cli_main(argv) == 2
+            assert cli_main(argv + [flag]) == 2
             assert name in capsys.readouterr().err
+        assert not out.exists()
+        if cls is SynthSettings:
+            continue
         config = tmp_path / "bad.cfg"
-        config.write_text(f"{name}={_flag_text(value)}\n")
+        config.write_text(f"{name}={text}\n")
         assert cli_main(["modset", str(tmp_path / "in.wav"), "--config", str(config)]) == 2
         assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", fields(PipelineConfig), ids=lambda f: f.name)
+def test_every_accepted_value_reads_back_from_its_run_log(field, tmp_path):
+    # what the constructor accepts, --config reads back from the run.log it
+    # writes; what it refuses, it refuses by name
+    log = tmp_path / "run.log"
+    name = field.name
+    for value in (NON_DEFAULT[name], True, False, "1e-6", *OUT_OF_RANGE[name]):
+        try:
+            config = PipelineConfig(**{name: value})
+        except ValueError as exc:
+            assert name in str(exc)
+            continue
+        _log_config(config, log, echo=False)
+        assert PipelineConfig.from_file(log) == config
 
 
 def test_modset_output_pastes_back_into_the_flag(tmp_path, capsys):

@@ -15,7 +15,6 @@ from cyclospeech import (
     estimate_modulation_set_detailed,
     mix_at_snr,
     pick_peaks,
-    spectral_coherence,
     synth_harmonic_cs_noise,
     synth_speech_like,
     welch_periodogram,
@@ -127,7 +126,7 @@ def test_single_peak_no_candidates():
     assert candidate_modulations(peaks) == []
 
 
-def test_self_coherence_is_one(cfg16k, cs_noise_10s):
+def test_self_coherence_is_one(cfg16k, spectral_coherence, cs_noise_10s):
     assert spectral_coherence(cs_noise_10s, 0.0, cfg16k) == 1.0
 
 
@@ -137,7 +136,9 @@ def test_self_coherence_is_one(cfg16k, cs_noise_10s):
     duration=st.floats(2.0, 6.0),
     log_scale=st.floats(-6.0, 3.0),
 )
-def test_self_coherence_exact_and_silence_rejected(cfg16k, seed, duration, log_scale):
+def test_self_coherence_exact_and_silence_rejected(
+    cfg16k, spectral_coherence, seed, duration, log_scale
+):
     n = int(duration * FS)
     noise = np.random.default_rng(seed).standard_normal(n) * 10.0**log_scale
     assert spectral_coherence(AudioBuffer(noise, FS), 0.0, cfg16k) == 1.0
@@ -185,11 +186,11 @@ def test_frame_sum_kernels_match_direct_sums(bins, frames, decades, mix, bins_ma
     assert np.array_equal(_bin_cross(x[:, top], x[:, top]).real, e_x[top])
 
 
-def test_white_noise_coherence_low(cfg16k, white_10s):
+def test_white_noise_coherence_low(cfg16k, spectral_coherence, white_10s):
     assert spectral_coherence(white_10s, 100.0, cfg16k) < 0.1
 
 
-def test_shared_envelope_coherence_high(cfg16k):
+def test_shared_envelope_coherence_high(cfg16k, spectral_coherence):
     # two harmonics riding the same random envelope: fully correlated pair
     rng = np.random.default_rng(14)
     n = 10 * FS
@@ -206,13 +207,13 @@ def test_shared_envelope_coherence_high(cfg16k):
     assert spectral_coherence(sig, 100.0, cfg16k) >= 0.8
 
 
-def test_coherence_scale_invariant(cfg16k, cs_noise_10s):
+def test_coherence_scale_invariant(cfg16k, spectral_coherence, cs_noise_10s):
     base = spectral_coherence(cs_noise_10s, 100.0, cfg16k)
     scaled = AudioBuffer(cs_noise_10s.samples * 37.5, FS)
     assert abs(spectral_coherence(scaled, 100.0, cfg16k) - base) <= 1e-10
 
 
-def test_coherence_zero_energy_rejected(cfg16k):
+def test_coherence_zero_energy_rejected(cfg16k, spectral_coherence):
     with pytest.raises(ValueError, match="zero-energy"):
         spectral_coherence(AudioBuffer(np.zeros(4 * FS), FS), 100.0, cfg16k)
 

@@ -6,7 +6,6 @@ from cyclospeech import (
     HarmonicNoiseParams,
     MixSpec,
     mix_at_snr,
-    spectral_coherence,
     synth_harmonic_cs_noise,
     synth_speech_like,
     welch_periodogram,
@@ -76,7 +75,7 @@ def test_integer_num_harmonics_of_any_integer_type_accepted():
         assert len(synth_harmonic_cs_noise(0.5, FS, params)) == FS // 2
 
 
-def test_generated_noise_is_cyclostationary(cfg16k):
+def test_generated_noise_is_cyclostationary(cfg16k, spectral_coherence):
     # correlated envelopes make the f0 shift coherent; uncorrelated ones do not
     high, low = [], []
     for seed in range(20):
@@ -132,15 +131,19 @@ NAN = float("nan")
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, name",
     [
-        lambda: HarmonicNoiseParams(f0=NAN),
-        lambda: HarmonicNoiseParams(f0=100.0, envelope_rate=NAN),
-        lambda: HarmonicNoiseParams(f0=100.0, amplitude_decay=NAN),
-        lambda: SynthSettings(f0_range=(NAN, NAN)),
-        lambda: SynthSettings(snr_range=(NAN, 0.0)),
-        lambda: SynthSettings(encoding="pcm24"),
-        lambda: SynthSettings(amplitude_decay=NAN),
+        (lambda: HarmonicNoiseParams(f0=NAN), "f0"),
+        (lambda: HarmonicNoiseParams(f0=100.0, envelope_rate=NAN), "envelope_rate"),
+        (lambda: HarmonicNoiseParams(f0=100.0, amplitude_decay=NAN), "amplitude_decay"),
+        (lambda: SynthSettings(f0_range=(NAN, NAN)), "f0_range"),
+        (lambda: SynthSettings(snr_range=(NAN, 0.0)), "snr_range"),
+        (lambda: SynthSettings(encoding="pcm24"), "encoding"),
+        (lambda: SynthSettings(amplitude_decay=NAN), "amplitude_decay"),
+        (lambda: HarmonicNoiseParams(f0=True), "f0"),
+        (lambda: HarmonicNoiseParams(f0=100.0, correlation=True), "correlation"),
+        (lambda: MixSpec(snr_db=True), "snr_db"),
+        (lambda: MixSpec(snr_db="0"), "snr_db"),
     ],
     ids=[
         "f0",
@@ -150,8 +153,12 @@ NAN = float("nan")
         "snr_range",
         "encoding",
         "settings_amplitude_decay",
+        "f0_bool",
+        "correlation_bool",
+        "snr_db_bool",
+        "snr_db_string",
     ],
 )
-def test_non_finite_or_unknown_synth_parameters_refused(build):
-    with pytest.raises(ValueError):
+def test_non_finite_or_unknown_synth_parameters_refused(build, name):
+    with pytest.raises(ValueError, match=name):
         build()

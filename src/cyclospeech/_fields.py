@@ -70,7 +70,10 @@ def check_fields(settings) -> None:
 
 def _parse_floats(raw: str) -> Optional[tuple[float, ...]]:
     raw = raw.strip()
-    return tuple(float(tok) for tok in raw.split(",")) if raw else None
+    try:
+        return tuple(float(tok) for tok in raw.split(",")) if raw else None
+    except ValueError:
+        raise ValueError(f"expected comma-separated numbers, got {raw!r}") from None
 
 
 def field_parser(cls, name: str):

@@ -22,12 +22,26 @@ from .wavio import read_wav
 logger = logging.getLogger(__name__)
 
 
+def _flag_type(parse):
+    """``parse`` as an argparse type whose refusal shows ``parse``'s own
+    message, which names the expected form, not the parser's name."""
+
+    def flag_type(raw: str):
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return flag_type
+
+
 def _add_settings_args(parser: argparse.ArgumentParser, cls) -> None:
     """One flag per field of the settings dataclass ``cls``, ``--dashed-name``
     unless the field's metadata names it, parsed as a config file parses that
     key, with the field's admissible values as its help; the settings check
     them. A flag left out is absent from the namespace."""
     for f in fields(cls):
+        parse = field_parser(cls, f.name)
         allowed, default = f.metadata.get("admits"), f.default
         if isinstance(allowed, tuple):
             allowed = "one of {" + ", ".join(allowed) + "}"
@@ -39,7 +53,8 @@ def _add_settings_args(parser: argparse.ArgumentParser, cls) -> None:
         parser.add_argument(
             "--" + f.metadata.get("flag", f.name).replace("_", "-"),
             dest=f.name,
-            type=field_parser(cls, f.name),
+            # argparse words a builtin type's refusal well itself
+            type=parse if isinstance(parse, type) else _flag_type(parse),
             default=argparse.SUPPRESS,
             help=f.metadata.get("help", f"{allowed}, default {default}"),
         )

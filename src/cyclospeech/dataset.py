@@ -60,9 +60,11 @@ MANIFEST_FIELDS = [
 
 def _noise_field(name: str, **overrides):
     """A field declared as the ``HarmonicNoiseParams`` field ``name`` is:
-    its admissible values and, unless overridden, its default."""
+    its admissible values and, unless overridden, its default. Its metadata
+    ``noise`` names that field."""
     noise = next(f for f in fields(HarmonicNoiseParams) if f.name == name)
-    return field(**{"default": noise.default, "metadata": noise.metadata, **overrides})
+    metadata = {**noise.metadata, "noise": name}
+    return field(**{"default": noise.default, "metadata": metadata, **overrides})
 
 
 @dataclass
@@ -88,6 +90,11 @@ class SynthSettings:
             low, high = getattr(self, name)
             if low > high:
                 raise ValueError(f"{name} must be (low, high), got {(low, high)!r}")
+
+
+# The settings that pass to each file's HarmonicNoiseParams as they are; f0 is
+# drawn from f0_range instead.
+_NOISE_SETTINGS = [f.name for f in fields(SynthSettings) if f.metadata.get("noise") == f.name]
 
 
 def synth_dataset(clean_dir, out_dir, settings: SynthSettings | None = None) -> Path:
@@ -120,11 +127,8 @@ def synth_dataset(clean_dir, out_dir, settings: SynthSettings | None = None) -> 
         noise_seed = int(rng.integers(0, 2**31 - 1))
         params = HarmonicNoiseParams(
             f0=f0,
-            num_harmonics=settings.num_harmonics,
-            correlation=settings.correlation,
-            envelope_rate=settings.envelope_rate,
-            amplitude_decay=settings.amplitude_decay,
             seed=noise_seed,
+            **{name: getattr(settings, name) for name in _NOISE_SETTINGS},
         )
         noise = synth_harmonic_cs_noise(
             len(clean) / clean.sample_rate, clean.sample_rate, params
@@ -221,6 +225,10 @@ def eval_dataset(
     (file, preproc, mask) regardless of worker completion order. The pool
     has min(``workers``, tasks) processes, and each scores modulation-set
     candidates on its share of the usable CPUs; a serial run uses them all.
+    The share also decides ``enhance_buffer``'s helper: with at least 2
+    CPUs, one helper thread builds the next block's noisy stack, never
+    holding two blocks' stacks at once; a worker with one CPU, as when
+    there are as many workers as CPUs, builds every stack inline.
     """
     if not configs:
         raise ValueError("need at least one pipeline config")

@@ -72,7 +72,8 @@ def _usable_cpus() -> int:
 
 # Threads one estimate may score candidates on. The candidates are independent
 # and their FFT and ufunc work releases the GIL, so an idle CPU is a helper;
-# eval's pool workers lower this to their share of the CPUs.
+# eval's pool workers lower this to their share of the CPUs. At 2 or more,
+# pipeline.enhance_buffer builds the next block's stack on one helper thread.
 _thread_budget = _usable_cpus()
 
 

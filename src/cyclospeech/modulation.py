@@ -121,21 +121,25 @@ def build_augmented(
     modset: ModulationSet,
     cfg: StftConfig,
     frames: tuple[int, int] | None = None,
+    out: np.ndarray | None = None,
 ) -> AugmentedSpectrogram:
     """Stack the STFTs of modulated signal copies, one channel per shift.
 
     With ``frames=(first, stop)`` only those frames are built: each shift
     modulates just the samples they read, at their index in ``signal``, and
     the stack equals the same frames of the whole-signal stack bit for bit.
-    The (C, L, K) stack is allocated once and each channel's FFT is computed
-    in its slot.
+    The (C, L, K) stack is allocated once, or is ``out``, a (C, L, K)
+    complex128 array, and each channel's FFT is computed in its slot.
     """
     modset.validate_for_rate(signal.sample_rate)
     n = len(signal)
     first, stop = (0, cfg.num_frames(n)) if frames is None else frames
     lo, hi = cfg.frame_span(first, stop, n)
     segment = AudioBuffer(signal.samples[lo:hi], signal.sample_rate)
-    stack = np.empty((len(modset), stop - first, cfg.fft_size), dtype=np.complex128)
+    shape = (len(modset), stop - first, cfg.fft_size)
+    stack = np.empty(shape, dtype=np.complex128) if out is None else out
+    if stack.shape != shape or stack.dtype != np.complex128:
+        raise ValueError(f"out must be a {shape} complex128 array")
     for slot, alpha in zip(stack, modset.shifts):
         # the zero shift modulates bit-exactly to a complex copy, so channel 0
         # is the plain STFT without numpy casting a real frame matrix to

@@ -4,6 +4,8 @@ the wav-in/wav-out entry point."""
 from __future__ import annotations
 
 import logging
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -172,22 +174,11 @@ class EnhanceResult:
 _STREAM_FRAMES = 512
 
 
-def _beamform(noisy, clean, modset, cfg, frames, config, state):
-    """The beamformer's (Y, Y_clean_or_None) for the frames (first, stop) of
-    ``noisy`` on ``modset``, continuing ``state``. The block's stacks are
-    freed on return, before the Wiener and mask steps run.
-
-    A clean companion is passed through the *identical* realized filter, so
-    Y - Y_clean is exactly the filtered noise. Only the oracle mask reads it.
-    """
-    # aug is positional and the rest keywords, as the traced benchmark's
-    # inspector of cmpdr_process expects
-    aug = build_augmented(noisy, modset, cfg, frames=frames)
-    kwargs = dict(beta_x=config.beta_x, diag_load=config.diag_load, state=state)
-    if clean is None:
-        return cmpdr_process(aug, **kwargs), None
-    aug_clean = build_augmented(clean, modset, cfg, frames=frames)
-    return cmpdr_process(aug, companion=aug_clean, **kwargs)
+def _built_here(fn, *args, **kwargs) -> Future:
+    """``fn(*args, **kwargs)`` run on the calling thread, as a done future."""
+    done = Future()
+    done.set_result(fn(*args, **kwargs))
+    return done
 
 
 def enhance_buffer(
@@ -202,9 +193,13 @@ def enhance_buffer(
     the STFT through bit for bit; ``wiener`` then applies its gain. The
     stages run over consecutive blocks of ``_STREAM_FRAMES`` frames, each
     carrying its state to the next, and the output is the same for any
-    block length. Raises ``ValueError`` on a NaN or infinite sample in
-    ``noisy`` or ``clean``, naming its index, rather than returning
-    non-finite audio.
+    block length. When the estimator's thread budget is at least 2, one
+    helper thread builds the next block's noisy stack while this thread
+    finishes the current block; at budget 1, as in ``eval``'s pool workers
+    when they have one CPU each, every stack is built inline. The output is
+    the same either way, and two blocks' stacks are never held at once.
+    Raises ``ValueError`` on a NaN or infinite sample in ``noisy`` or
+    ``clean``, naming its index, rather than returning non-finite audio.
     """
     noisy.require_finite("noisy input")
     if clean is not None:
@@ -228,25 +223,50 @@ def enhance_buffer(
     else:
         modset, shifts = None, ModulationSet((0.0,))
     wiener = MinStatsState(num_frames=total) if config.preproc == "wiener" else None
+    # a clean companion is passed through the *identical* realized filter, so
+    # Y - Y_clean is exactly the filtered noise; only the oracle mask reads it
     companion = clean if config.mask == "oracle-irm" else None
     eps = oracle_eps(companion, cfg) if companion is not None else None
     state = CmpdrState()
     enhanced = np.zeros(len(noisy))
-    for first in range(0, total, _STREAM_FRAMES):
-        frames = (first, min(first + _STREAM_FRAMES, total))
-        y, y_clean = _beamform(noisy, companion, shifts, cfg, frames, config, state)
-        if wiener is not None:
-            noise_psd, smoothed = min_stats_noise_psd(
-                y, config.ms_window_sec, config.ms_alpha, config.ms_bias, state=wiener
-            )
-            gain = wiener_gain(smoothed, noise_psd, config.gain_floor)
-            y = replace(y, data=gain * y.data)
-            if y_clean is not None:
-                y_clean = replace(y_clean, data=gain * y_clean.data)
-        if companion is not None:
-            residual = replace(y, data=y.data - y_clean.data)
-            y = apply_mask(y, oracle_irm(y_clean, residual, eps=eps))
-        istft(y, out=enhanced, first_frame=first)
+    blocks = [(f, min(f + _STREAM_FRAMES, total)) for f in range(0, total, _STREAM_FRAMES)]
+
+    def stack(frames):
+        # every stack is allocated on this thread, also those the helper
+        # fills: a helper's own allocations would grow a second malloc arena
+        return np.empty((len(shifts), frames[1] - frames[0], cfg.fft_size), dtype=np.complex128)
+
+    # the stack is positional and the rest keywords, as the traced
+    # benchmark's inspector of cmpdr_process expects
+    kwargs = dict(beta_x=config.beta_x, diag_load=config.diag_load, state=state)
+    prefetch = modset_module._thread_budget >= 2
+    with ThreadPoolExecutor(max_workers=1) if prefetch else nullcontext() as helper:
+        start = helper.submit if prefetch else _built_here
+        pending = start(build_augmented, noisy, shifts, cfg, frames=blocks[0], out=stack(blocks[0]))
+        for b, frames in enumerate(blocks):
+            if companion is None:
+                y, y_clean = cmpdr_process(pending.result(), **kwargs), None
+            else:
+                aug_clean = build_augmented(companion, shifts, cfg, frames=frames, out=stack(frames))
+                y, y_clean = cmpdr_process(pending.result(), companion=aug_clean, **kwargs)
+                aug_clean = None
+            # the block's stacks are dropped before the next one's is made
+            pending = None
+            if b + 1 < len(blocks):
+                nxt = blocks[b + 1]
+                pending = start(build_augmented, noisy, shifts, cfg, frames=nxt, out=stack(nxt))
+            if wiener is not None:
+                noise_psd, smoothed = min_stats_noise_psd(
+                    y, config.ms_window_sec, config.ms_alpha, config.ms_bias, state=wiener
+                )
+                gain = wiener_gain(smoothed, noise_psd, config.gain_floor)
+                y = replace(y, data=gain * y.data)
+                if y_clean is not None:
+                    y_clean = replace(y_clean, data=gain * y_clean.data)
+            if companion is not None:
+                residual = replace(y, data=y.data - y_clean.data)
+                y = apply_mask(y, oracle_irm(y_clean, residual, eps=eps))
+            istft(y, out=enhanced, first_frame=frames[0])
     return EnhanceResult(enhanced=AudioBuffer(enhanced, noisy.sample_rate), modset=modset)
 
 

@@ -193,6 +193,29 @@ def test_synth_refuses_a_bad_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--clean-dir", "c", "--out-dir", "o", "--snr-range=False,True"],
+        ["synth", "--clean-dir", "c", "--out-dir", "o", "--f0-range=60,high"],
+        ["modset", "in.wav", "--modset=0,110Hz"],
+    ],
+    ids=lambda argv: argv[-1].split("=")[0],
+)
+def test_tuple_flag_refusal_names_the_expected_form(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-1].split('=')[0]}: expected comma-separated numbers" in err
+    assert "_parse_floats" not in err
+    # the same text in a config file is refused by its key
+    path = tmp_path / "run.cfg"
+    path.write_text(f"forced_modset={argv[-1].split('=')[1]}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="forced_modset: expected comma-separated numbers"):
+        PipelineConfig.from_file(path)
+
+
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_identically_seeded_runs_write_identical_csvs(tmp_path, seed):
     clean_dir = make_clean_dir(tmp_path, count=1, duration=2.5)

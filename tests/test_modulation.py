@@ -145,6 +145,19 @@ def test_frame_range_equals_the_columns_of_the_whole_stack(fs, seconds, seed, da
         assert np.array_equal(part, whole[:, first:stop]), (first, stop)
 
 
+def test_stack_is_built_into_the_callers_array(cfg16k):
+    sig = AudioBuffer(np.random.default_rng(5).standard_normal(20000), FS)
+    modset = ModulationSet((0.0, 120.0, -57.3))
+    ref = build_augmented(sig, modset, cfg16k, frames=(30, 90)).channels
+    out = np.full((3, 60, cfg16k.fft_size), np.nan, dtype=np.complex128)
+    aug = build_augmented(sig, modset, cfg16k, frames=(30, 90), out=out)
+    assert aug.channels is out
+    assert np.array_equal(out, ref)
+    for bad in (np.empty((3, 61, cfg16k.fft_size), dtype=np.complex128), out.real.copy()):
+        with pytest.raises(ValueError, match="out must be"):
+            build_augmented(sig, modset, cfg16k, frames=(30, 90), out=bad)
+
+
 def test_trivial_modset_single_channel(cfg16k):
     sig = AudioBuffer(np.sin(np.arange(4000) * 0.02), FS)
     aug = build_augmented(sig, ModulationSet((0.0,)), cfg16k)

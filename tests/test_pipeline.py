@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -200,13 +201,43 @@ FIVE_SHIFTS = PipelineConfig(mask="oracle-irm", forced_modset=tuple(97.0 * p for
 )
 def test_output_does_not_depend_on_the_block_length(config, monkeypatch):
     # 628 frames: two default blocks, and the Wiener window (188 frames)
-    # spans several 64-frame blocks
+    # spans several 64-frame blocks; at budget 2 a helper thread builds the
+    # noisy stacks, on one block and on several
     mix, speech = _mixture(5.0, seed=70)
+    monkeypatch.setattr(cyclospeech.modset, "_thread_budget", 1)
     ref = enhance_buffer(mix, config, clean=speech).enhanced.samples
-    for frames in (64, 100, 10**6):
-        monkeypatch.setattr(cyclospeech.pipeline, "_STREAM_FRAMES", frames)
-        out = enhance_buffer(mix, config, clean=speech).enhanced.samples
-        assert np.array_equal(out, ref), frames
+    for budget in (1, 2):
+        monkeypatch.setattr(cyclospeech.modset, "_thread_budget", budget)
+        for frames in (64, 100, 512, 10**6):
+            monkeypatch.setattr(cyclospeech.pipeline, "_STREAM_FRAMES", frames)
+            out = enhance_buffer(mix, config, clean=speech).enhanced.samples
+            assert np.array_equal(out, ref), (budget, frames)
+
+
+@pytest.mark.parametrize("budget", (1, 2))
+def test_a_failing_stack_build_is_raised_and_leaves_no_thread(budget, monkeypatch):
+    # 628 frames: the second block's noisy stack fails, on the helper
+    # thread at budget 2
+    mix, _ = _mixture(5.0, seed=73)
+    monkeypatch.setattr(cyclospeech.modset, "_thread_budget", budget)
+    real_build = cyclospeech.pipeline.build_augmented
+    failure = RuntimeError("stack build failed")
+    build_threads = []
+
+    def build(signal, modset, cfg, frames, out):
+        build_threads.append(threading.current_thread())
+        if frames[0] > 0:
+            raise failure
+        return real_build(signal, modset, cfg, frames=frames, out=out)
+
+    monkeypatch.setattr(cyclospeech.pipeline, "build_augmented", build)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        enhance_buffer(mix, replace(FIVE_SHIFTS, mask="none"))
+    assert raised.value is failure
+    assert threading.active_count() == before
+    assert len(build_threads) == 2
+    assert (build_threads[-1] is threading.main_thread()) == (budget == 1)
 
 
 def test_id_and_wiener_equal_their_whole_signal_references():

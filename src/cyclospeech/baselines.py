@@ -22,10 +22,16 @@ __all__ = [
 # Floor of the oracle mask's denominator, relative to the mean clean power.
 IRM_EPS_REL = 1e-12
 
+# The minimum-statistics Wiener filter, a comparison preprocessor only: its
+# trailing minimum window, the smoothing factor of the noisy power, the bias
+# compensation of the minimum, and the gain floor (-25 dB).
+_MS_WINDOW_SEC = 1.5
+_MS_ALPHA = 0.85
+_MS_BIAS = 1.5
+_GAIN_FLOOR = 10.0 ** (-25.0 / 20.0)
 
-def _smoothed_power(
-    data: np.ndarray, smooth_alpha: float, seed: np.ndarray | None = None
-) -> np.ndarray:
+
+def _smoothed_power(data: np.ndarray, seed: np.ndarray | None = None) -> np.ndarray:
     """First-order recursive smoothing of |x|^2 along frames, seeded with the
     first frame, or continuing from ``seed``, the smoothed power of the frame
     before ``data``."""
@@ -34,9 +40,9 @@ def _smoothed_power(
     if seed is None:
         smoothed[0] = power[0]
     else:
-        smoothed[0] = smooth_alpha * seed + (1.0 - smooth_alpha) * power[0]
+        smoothed[0] = _MS_ALPHA * seed + (1.0 - _MS_ALPHA) * power[0]
     for l in range(1, power.shape[0]):
-        smoothed[l] = smooth_alpha * smoothed[l - 1] + (1.0 - smooth_alpha) * power[l]
+        smoothed[l] = _MS_ALPHA * smoothed[l - 1] + (1.0 - _MS_ALPHA) * power[l]
     return smoothed
 
 
@@ -53,37 +59,29 @@ class MinStatsState:
 
 
 def min_stats_noise_psd(
-    noisy: ComplexSpectrogram,
-    window_sec: float = 1.5,
-    smooth_alpha: float = 0.85,
-    bias: float = 1.5,
-    state: MinStatsState | None = None,
+    noisy: ComplexSpectrogram, state: MinStatsState | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-statistics noise tracker; returns the (L, K) noise PSD and the
     smoothed noisy power it was tracked on.
 
     The smoothed noisy periodogram is tracked per bin and the noise PSD is
-    the bias-compensated sliding minimum over a trailing window; the window
-    should be long enough to bridge speech activity between pauses. With
-    ``state``, ``noisy`` is the next block of frames of a recording of
-    ``state.num_frames`` frames.
+    the bias-compensated sliding minimum over a trailing window of
+    ``_MS_WINDOW_SEC``, long enough to bridge speech activity between
+    pauses. With ``state``, ``noisy`` is the next block of frames of a
+    recording of ``state.num_frames`` frames.
     """
-    if not 0.0 < smooth_alpha < 1.0:
-        raise ValueError("smooth_alpha must lie strictly between 0 and 1")
-    if bias < 1.0:
-        raise ValueError("bias must be at least 1")
     hop_sec = noisy.config.hop / noisy.config.sample_rate
-    win_frames = int(round(window_sec / hop_sec))
+    win_frames = int(round(_MS_WINDOW_SEC / hop_sec))
     total = noisy.num_frames if state is None else state.num_frames
-    if win_frames < 1 or total < win_frames:
+    if total < win_frames:
         raise ValueError(
             f"recording of {total} frames is shorter than the "
-            f"{window_sec} s minimum-tracking window ({win_frames} frames)"
+            f"{_MS_WINDOW_SEC} s minimum-tracking window ({win_frames} frames)"
         )
     from scipy.ndimage import minimum_filter1d
 
     tail = None if state is None else state.tail
-    block = _smoothed_power(noisy.data, smooth_alpha, None if tail is None else tail[-1])
+    block = _smoothed_power(noisy.data, None if tail is None else tail[-1])
     smoothed = block if tail is None else np.concatenate([tail, block])
     # trailing minimum: nearest-edge padding only ever repeats the first
     # frame, which is already inside every early window
@@ -95,16 +93,12 @@ def min_stats_noise_psd(
         # the next block's minimum reads up to win_frames - 1 frames back,
         # and its recursion continues from the last one
         state.tail = smoothed[-max(win_frames - 1, 1) :].copy()
-    return bias * floor[floor.shape[0] - noisy.num_frames :], block
+    return _MS_BIAS * floor[floor.shape[0] - noisy.num_frames :], block
 
 
-def wiener_gain(
-    smoothed: np.ndarray, noise_psd: np.ndarray, gain_floor: float
-) -> np.ndarray:
+def wiener_gain(smoothed: np.ndarray, noise_psd: np.ndarray) -> np.ndarray:
     """Spectral-subtraction style Wiener gain G = max(1 - N/P, floor), with P
     the smoothed noisy power that ``min_stats_noise_psd`` returns beside N."""
-    if not 0.0 < gain_floor < 1.0:
-        raise ValueError("gain_floor must lie strictly between 0 and 1")
     noise_psd = np.asarray(noise_psd)
     if noise_psd.shape != smoothed.shape:
         raise ValueError(
@@ -114,7 +108,7 @@ def wiener_gain(
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = 1.0 - noise_psd / smoothed
     gain[~np.isfinite(gain)] = 0.0
-    return np.maximum(gain, gain_floor)
+    return np.maximum(gain, _GAIN_FLOOR)
 
 
 def apply_mask(y: ComplexSpectrogram, mask: np.ndarray) -> ComplexSpectrogram:

@@ -106,8 +106,11 @@ def _cmd_enhance(args) -> int:
 
 def _cmd_eval(args) -> int:
     base = _build_config(args)
+    for name in ("preproc", "mask"):
+        if args.pipeline and name in vars(args):
+            raise ValueError(f"--{name} and --pipeline cannot be combined")
     configs = []
-    for spec in args.pipeline or ["id:none"]:
+    for spec in args.pipeline or [f"{base.preproc}:{base.mask}"]:
         try:
             preproc, mask = spec.split(":")
         except ValueError:
@@ -166,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--pipeline",
         action="append",
-        help="preproc:mask pair (repeatable), e.g. cmpdr:oracle-irm",
+        help="preproc:mask pair (repeatable), e.g. cmpdr:oracle-irm; "
+        "default: the config's own preproc and mask",
     )
     p_eval.add_argument("--workers", type=int, default=1)
     p_eval.add_argument("--config", help="flat key=value config file")

@@ -225,10 +225,6 @@ def eval_dataset(
     (file, preproc, mask) regardless of worker completion order. The pool
     has min(``workers``, tasks) processes, and each scores modulation-set
     candidates on its share of the usable CPUs; a serial run uses them all.
-    The share also decides ``enhance_buffer``'s helper: with at least 2
-    CPUs, one helper thread builds the next block's noisy stack, never
-    holding two blocks' stacks at once; a worker with one CPU, as when
-    there are as many workers as CPUs, builds every stack inline.
     """
     if not configs:
         raise ValueError("need at least one pipeline config")

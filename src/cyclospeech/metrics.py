@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .stft import AudioBuffer
+from .stft import AudioBuffer, periodic_hann
 
 __all__ = [
     "MetricRecord",
@@ -99,9 +100,7 @@ def _third_octave_bands(nfft: int, fs: int) -> np.ndarray:
 
 
 def _frame(x: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
-    n_frames = 1 + (len(x) - len(window)) // hop
-    idx = hop * np.arange(n_frames)[:, None] + np.arange(len(window))[None, :]
-    return x[idx] * window
+    return sliding_window_view(x, len(window))[::hop] * window
 
 
 def _remove_silent_frames(
@@ -149,7 +148,7 @@ def stoi(estimate: AudioBuffer, reference: AudioBuffer) -> float:
         raise ValueError(
             f"need at least {min_samples / _STOI_FS * 1e3:.0f} ms of signal"
         )
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(_STOI_FRAME) / _STOI_FRAME)
+    window = periodic_hann(_STOI_FRAME)
     r, e = _remove_silent_frames(r, e, window, _STOI_HOP)
     if len(r) < min_samples:
         raise ValueError("less than one 384 ms segment of active signal")

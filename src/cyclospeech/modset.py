@@ -72,8 +72,7 @@ def _usable_cpus() -> int:
 
 # Threads one estimate may score candidates on. The candidates are independent
 # and their FFT and ufunc work releases the GIL, so an idle CPU is a helper;
-# eval's pool workers lower this to their share of the CPUs. At 2 or more,
-# pipeline.enhance_buffer builds the next block's stack on one helper thread.
+# eval's pool workers lower this to their share of the CPUs.
 _thread_budget = _usable_cpus()
 
 
@@ -358,9 +357,8 @@ def _in_threads(score, candidates: list[float], buffer_shape) -> list[CoherenceR
     def share(first: int) -> list[CoherenceReport]:
         return [score(cand, buffers[first]) for cand in candidates[first::n]]
 
-    if n == 1:
-        return share(0)
-    with ThreadPoolExecutor(max_workers=n - 1) as pool:
+    # at n = 1 nothing is submitted, so the pool starts no thread
+    with ThreadPoolExecutor(max_workers=max(n - 1, 1)) as pool:
         helpers = [pool.submit(share, first) for first in range(1, n)]
         shares = [share(0)] + [h.result() for h in helpers]
     return [shares[i % n][i // n] for i in range(len(candidates))]

@@ -4,8 +4,7 @@ the wav-in/wav-out entry point."""
 from __future__ import annotations
 
 import logging
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -68,11 +67,6 @@ class PipelineConfig:
     # a one-sample Welch segment gives a one-point grid, which has no step
     welch_seg: int = field(default=4096, metadata={"admits": "[2, inf)"})
     welch_overlap: float = field(default=0.5, metadata={"admits": "[0, 1)"})
-    # minimum-statistics Wiener
-    ms_window_sec: float = field(default=1.5, metadata={"admits": "(0, inf)"})
-    ms_alpha: float = field(default=0.85, metadata={"admits": "(0, 1)"})
-    ms_bias: float = field(default=1.5, metadata={"admits": "[1, inf)"})
-    gain_floor_db: float = field(default=-25.0, metadata={"admits": "(-inf, 0)"})
     # when set, bypasses estimation entirely: zero first, distinct, each
     # below the Nyquist frequency
     forced_modset: Optional[tuple[float, ...]] = field(
@@ -95,10 +89,6 @@ class PipelineConfig:
         """The analysis geometry, which follows ``sample_rate``: 32 ms
         frames, 8 ms hop (512/128/512 points at 16 kHz)."""
         return default_stft_config(self.sample_rate)
-
-    @property
-    def gain_floor(self) -> float:
-        return 10.0 ** (self.gain_floor_db / 20.0)
 
     def label(self) -> str:
         return f"{self.preproc}+{self.mask}"
@@ -174,13 +164,6 @@ class EnhanceResult:
 _STREAM_FRAMES = 512
 
 
-def _built_here(fn, *args, **kwargs) -> Future:
-    """``fn(*args, **kwargs)`` run on the calling thread, as a done future."""
-    done = Future()
-    done.set_result(fn(*args, **kwargs))
-    return done
-
-
 def enhance_buffer(
     noisy: AudioBuffer,
     config: PipelineConfig,
@@ -193,11 +176,9 @@ def enhance_buffer(
     the STFT through bit for bit; ``wiener`` then applies its gain. The
     stages run over consecutive blocks of ``_STREAM_FRAMES`` frames, each
     carrying its state to the next, and the output is the same for any
-    block length. When the estimator's thread budget is at least 2, one
-    helper thread builds the next block's noisy stack while this thread
-    finishes the current block; at budget 1, as in ``eval``'s pool workers
-    when they have one CPU each, every stack is built inline. The output is
-    the same either way, and two blocks' stacks are never held at once.
+    block length. One helper thread builds each block's noisy stack, the
+    next block's while this thread finishes the current one, so two blocks'
+    stacks are never held at once.
     Raises ``ValueError`` on a NaN or infinite sample in ``noisy`` or
     ``clean``, naming its index, rather than returning non-finite audio.
     """
@@ -239,10 +220,9 @@ def enhance_buffer(
     # the stack is positional and the rest keywords, as the traced
     # benchmark's inspector of cmpdr_process expects
     kwargs = dict(beta_x=config.beta_x, diag_load=config.diag_load, state=state)
-    prefetch = modset_module._thread_budget >= 2
-    with ThreadPoolExecutor(max_workers=1) if prefetch else nullcontext() as helper:
-        start = helper.submit if prefetch else _built_here
-        pending = start(build_augmented, noisy, shifts, cfg, frames=blocks[0], out=stack(blocks[0]))
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        first = blocks[0]
+        pending = helper.submit(build_augmented, noisy, shifts, cfg, frames=first, out=stack(first))
         for b, frames in enumerate(blocks):
             if companion is None:
                 y, y_clean = cmpdr_process(pending.result(), **kwargs), None
@@ -254,12 +234,12 @@ def enhance_buffer(
             pending = None
             if b + 1 < len(blocks):
                 nxt = blocks[b + 1]
-                pending = start(build_augmented, noisy, shifts, cfg, frames=nxt, out=stack(nxt))
-            if wiener is not None:
-                noise_psd, smoothed = min_stats_noise_psd(
-                    y, config.ms_window_sec, config.ms_alpha, config.ms_bias, state=wiener
+                pending = helper.submit(
+                    build_augmented, noisy, shifts, cfg, frames=nxt, out=stack(nxt)
                 )
-                gain = wiener_gain(smoothed, noise_psd, config.gain_floor)
+            if wiener is not None:
+                noise_psd, smoothed = min_stats_noise_psd(y, state=wiener)
+                gain = wiener_gain(smoothed, noise_psd)
                 y = replace(y, data=gain * y.data)
                 if y_clean is not None:
                     y_clean = replace(y_clean, data=gain * y_clean.data)

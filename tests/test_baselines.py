@@ -15,7 +15,6 @@ from cyclospeech import (
 from cyclospeech.baselines import _smoothed_power
 
 FS = 16000
-FLOOR = PipelineConfig().gain_floor
 EPS = 1e-12
 
 
@@ -58,22 +57,22 @@ def test_min_stats_tracks_speech_pauses(cfg16k, speech_4s):
 
 def test_min_stats_never_exceeds_biased_smoothed_psd(cfg16k, speech_4s):
     spec = stft(speech_4s, cfg16k)
-    psd, smoothed = min_stats_noise_psd(spec, bias=1.5, smooth_alpha=0.85)
-    assert np.array_equal(smoothed, _smoothed_power(spec.data, 0.85))
+    psd, smoothed = min_stats_noise_psd(spec)
+    assert np.array_equal(smoothed, _smoothed_power(spec.data))
     assert np.all(psd <= 1.5 * smoothed + 1e-12)
 
 
 def test_min_stats_short_input_rejected(cfg16k):
     spec = make_spec(np.ones((10, 512)), cfg16k)
     with pytest.raises(ValueError, match="shorter"):
-        min_stats_noise_psd(spec, window_sec=1.5)
+        min_stats_noise_psd(spec)
 
 
 def test_wiener_zero_noise_passthrough(cfg16k):
     rng = np.random.default_rng(0)
     data = rng.standard_normal((200, 512)) + 1j * rng.standard_normal((200, 512))
     spec = make_spec(data, cfg16k)
-    gain = wiener_gain(_smoothed_power(spec.data, 0.85), np.zeros((200, 512)), FLOOR)
+    gain = wiener_gain(_smoothed_power(spec.data), np.zeros((200, 512)))
     assert np.array_equal(gain * spec.data, spec.data)
 
 
@@ -82,14 +81,14 @@ def test_wiener_full_noise_hits_floor(cfg16k):
     data = np.full((100, 512), 2.0, dtype=complex)
     spec = make_spec(data, cfg16k)
     floor = 10 ** (-25 / 20)
-    gain = wiener_gain(_smoothed_power(spec.data, 0.85), np.full((100, 512), 4.0), floor)
+    gain = wiener_gain(_smoothed_power(spec.data), np.full((100, 512), 4.0))
     assert np.allclose(gain * spec.data, floor * data)
 
 
 def test_wiener_half_noise_half_gain(cfg16k):
     data = np.full((100, 512), 2.0, dtype=complex)
     spec = make_spec(data, cfg16k)
-    gain = wiener_gain(_smoothed_power(spec.data, 0.85), np.full((100, 512), 2.0), FLOOR)
+    gain = wiener_gain(_smoothed_power(spec.data), np.full((100, 512), 2.0))
     assert np.allclose(gain * spec.data, 0.5 * data)
 
 
@@ -97,14 +96,14 @@ def test_wiener_gain_bounds(cfg16k, speech_4s):
     spec = stft(speech_4s, cfg16k)
     noise, smoothed = min_stats_noise_psd(spec)
     floor = 10 ** (-25 / 20)
-    gain = wiener_gain(smoothed, noise, floor)
+    gain = wiener_gain(smoothed, noise)
     assert gain.min() >= floor
     assert gain.max() <= 1.0
 
 
 def test_wiener_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        wiener_gain(np.ones((50, 512)), np.ones((49, 512)), FLOOR)
+        wiener_gain(np.ones((50, 512)), np.ones((49, 512)))
 
 
 def test_apply_mask_trivial_cases(cfg16k):

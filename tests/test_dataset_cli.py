@@ -181,6 +181,34 @@ def test_eval_dataset_refuses_fewer_than_one_worker(tmp_path, capsys, workers):
     assert not (tmp_path / "res").exists()
 
 
+def test_eval_without_pipeline_runs_the_configs_preproc_and_mask(tmp_path, capsys):
+    clean_dir = make_clean_dir(tmp_path, count=1)
+    ds = tmp_path / "ds"
+    synth_dataset(clean_dir, ds, SynthSettings(seed=5))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preproc=id\nmask=oracle-irm\n", encoding="utf-8")
+    eval_argv = ["eval", "--dataset-dir", str(ds), "--modset", "0,100", "--out-dir"]
+    for extra, pipeline in (
+        ([], ("cmpdr", "none")),
+        (["--preproc", "wiener", "--mask", "oracle-irm"], ("wiener", "oracle-irm")),
+        (["--config", str(cfg)], ("id", "oracle-irm")),
+        (["--config", str(cfg), "--mask", "none"], ("id", "none")),
+    ):
+        res = tmp_path / "-".join(pipeline)
+        assert cli_main(eval_argv + [str(res)] + extra) == 0
+        with open(res / "metrics.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["preproc"], r["mask"]) for r in rows] == [pipeline]
+    for flag in ("--preproc", "--mask"):
+        value = "wiener" if flag == "--preproc" else "oracle-irm"
+        res = tmp_path / "refused"
+        argv = eval_argv + [str(res), "--pipeline", "id:none", flag, value]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "--pipeline" in err
+        assert not res.exists()
+
+
 def test_synth_refuses_a_bad_seed(tmp_path, capsys):
     for seed in (-1, 2.5, True):
         with pytest.raises(ValueError, match="seed"):
@@ -354,10 +382,6 @@ NON_DEFAULT = {
     "max_shifts": 3,
     "welch_seg": 2048,
     "welch_overlap": 0.25,
-    "ms_window_sec": 1.25,
-    "ms_alpha": 0.8,
-    "ms_bias": 2.0,
-    "gain_floor_db": -20.0,
     "forced_modset": (0.0, 97.31234567, 194.6246913),
 }
 
@@ -434,10 +458,6 @@ OUT_OF_RANGE = {
     "max_shifts": (0, True),
     "welch_seg": (0, 1, 4096.5),
     "welch_overlap": (-0.1, 1.0, 1.5, True),
-    "ms_window_sec": (0.0, -1.0, True),
-    "ms_alpha": (0.0, 1.0, 2.0, True),
-    "ms_bias": (0.5, True),
-    "gain_floor_db": (0.0, 3.0, True),
     "forced_modset": ((100.0,), (0.0, 50.0, 50.0), (0.0, 8000.0)),
     "seed": (-1, 2.5, True),
     "snr_range": ((float("nan"), 0.0), (0.0, -10.0), (-20.0, -10.0, 0.0), (False, True)),

@@ -30,14 +30,7 @@ from .pipeline import (
     select_modulation_set,
     trim_edges,
 )
-from .stft import (
-    AudioBuffer,
-    ComplexSpectrogram,
-    StftConfig,
-    default_stft_config,
-    istft,
-    stft,
-)
+from .stft import AudioBuffer, ComplexSpectrogram, StftConfig, istft, stft
 from .synth import (
     HarmonicNoiseParams,
     MixSpec,

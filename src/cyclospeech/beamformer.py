@@ -4,7 +4,7 @@ Per frequency bin, the C x C spectral covariance of the augmented
 (frequency-shifted) observation vector x = [x0; xr] follows the recursive
 average
 
-    S <- beta_x * S + (1 - beta_x) * x x^H,
+    S <- beta_x * S + (1 - beta_x) * x x^H,      beta_x = 0.95,
 
 and the minimum-power weights with unit gain on the unshifted channel x0 are
 w = [1; -z] with
@@ -18,10 +18,10 @@ copies as its blocking branch, i.e. Gardner's FRESH filter: they cancel the
 harmonic noise in x0.
 
 Every ``_REANCHOR_FRAMES`` frames (the anchors) S is formed, lambda is set to
-diag_load * tr(S) / C, and P_r = (S_rr + lambda I)^-1 and z are re-solved;
-between anchors both follow the exponentially weighted RLS recursion over the
-C - 1 shifted channels (Haykin, *Adaptive Filter Theory*), with
-g = (1 - beta_x) / beta_x:
+diag_load * tr(S) / C with diag_load = 1e-6, and P_r = (S_rr + lambda I)^-1
+and z are re-solved; between anchors both follow the exponentially weighted
+RLS recursion over the C - 1 shifted channels (Haykin, *Adaptive Filter
+Theory*), with g = (1 - beta_x) / beta_x:
 
     u = P_r xr,  d = 1 + g xr^H u,  e = x0 - z^H xr,  k = (g / d) u,
     z <- z + k e*,  P_r <- (P_r - k u^H) / beta_x,  y = x0 - z^H xr = e / d.
@@ -47,6 +47,11 @@ from .stft import ComplexSpectrogram
 
 __all__ = ["CmpdrState", "process"]
 
+# The paper's one smoothing factor beta_x and trace-relative loading
+# diag_load; neither is a setting.
+_BETA_X = 0.95
+_DIAG_LOAD = 1e-6
+
 # Floor applied to the diagonal loading so an all-zero covariance still
 # yields the pass-through weights e1 instead of a singular solve.
 _ABS_LOAD_FLOOR = 1e-30
@@ -64,7 +69,7 @@ _WARM_FRAMES = 10
 
 
 def _loaded_solve(
-    cov: np.ndarray, diag_load: float
+    cov: np.ndarray, diag_load: float = _DIAG_LOAD
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve (S_rr + lambda I) [z, P_r] = [s_r0, I] for a bins-innermost
     (C, C, K) covariance stack.
@@ -98,13 +103,13 @@ def _loaded_solve(
     return z, inv, fallback
 
 
-def _covariance(cov: np.ndarray, x: np.ndarray, beta_x: float) -> np.ndarray:
+def _covariance(cov: np.ndarray, x: np.ndarray) -> np.ndarray:
     """S (C, C, K') after the frames ``x`` (C, n, K'), given S = ``cov`` before
     them, as one block product over the frames."""
     x = np.ascontiguousarray(x)  # a fixed layout fixes the order of the sums
     c, n, _ = x.shape
-    weights = ((1.0 - beta_x) * beta_x ** np.arange(n - 1, -1, -1.0))[:, None]
-    s = beta_x**n * cov
+    weights = ((1.0 - _BETA_X) * _BETA_X ** np.arange(n - 1, -1, -1.0))[:, None]
+    s = _BETA_X**n * cov
     for a in range(c):
         s[a:, a] += (x[a:] * (np.conj(x[a]) * weights)).sum(axis=1)
         s[a, a + 1 :] = np.conj(s[a + 1 :, a])
@@ -132,12 +137,11 @@ class CmpdrState:
 
 def process(
     aug: AugmentedSpectrogram,
-    beta_x: float = 0.95,
-    diag_load: float = 1e-6,
     companion: AugmentedSpectrogram | None = None,
     state: CmpdrState | None = None,
 ):
-    """Run the per-bin recursion and beamform every frame.
+    """Run the per-bin recursion and beamform every frame, at the fixed
+    beta_x = 0.95 and diag_load = 1e-6 of the module docstring.
 
     ``companion`` co-filters a second augmented spectrogram with the weights
     computed from ``aug`` (the filter is linear given its weights), which is
@@ -149,8 +153,6 @@ def process(
     the recursion continues from ``state``, which it advances; without, the
     stack is one block run from a fresh state.
     """
-    if not 0.0 < beta_x < 1.0:
-        raise ValueError("beta_x must lie strictly between 0 and 1")
     if companion is not None and companion.channels.shape != aug.channels.shape:
         raise ValueError("companion must match the main spectrogram's shape")
     state = CmpdrState() if state is None else state
@@ -172,7 +174,7 @@ def process(
         out_comp = frames_comp[0].copy() if companion is not None else None
         state.frame += l
     else:
-        out, out_comp = _recursion(state, frames, frames_comp, beta_x, diag_load)
+        out, out_comp = _recursion(state, frames, frames_comp)
 
     main = ComplexSpectrogram(data=out, config=aug.config)
     if companion is None:
@@ -180,7 +182,7 @@ def process(
     return main, ComplexSpectrogram(data=out_comp, config=companion.config)
 
 
-def _recursion(state, frames, frames_comp, beta_x, diag_load):
+def _recursion(state, frames, frames_comp):
     """Beamform the frames (C, L, K) of one block, C > 1, continuing and
     advancing ``state``; returns the (L, K) outputs for the block and its
     companion (None without one)."""
@@ -207,7 +209,7 @@ def _recursion(state, frames, frames_comp, beta_x, diag_load):
     # runs of K values. P_r is held as Q = beta_x^m P_r, m frames after its
     # anchor, which folds the per-frame 1 / beta_x into scalars.
     r = c - 1
-    g = (1.0 - beta_x) / beta_x
+    g = (1.0 - _BETA_X) / _BETA_X
     tmp = np.empty((r, r, k), dtype=np.complex128)
     out = np.empty((l, k), dtype=np.complex128)
     out_comp = np.empty((l, k), dtype=np.complex128) if frames_comp is not None else None
@@ -224,15 +226,15 @@ def _recursion(state, frames, frames_comp, beta_x, diag_load):
             frame = f0 + j
             x0, xr = x_blk[0, i], x_blk[1:, i]
             if frame % _REANCHOR_FRAMES == 0:
-                state.cov = _covariance(state.cov, since(j + 1), beta_x)
+                state.cov = _covariance(state.cov, since(j + 1))
                 state.anchor = frame
-                z, p, _ = _loaded_solve(state.cov, diag_load)
+                z, p, _ = _loaded_solve(state.cov)
                 zc, q_inv = np.conj(z), p.copy()  # zc = z^*: e = x0 - sum(zc xr)
             else:
                 # m updates after the anchor, Q = beta_x^m P_r, so u = s q
                 # with q = Q xr and s = beta_x^-m, k^* = (g s / d) q^*, and
                 # the update of P_r is Q <- Q - q k^H
-                gs = g * beta_x ** (state.anchor - frame + 1)
+                gs = g * _BETA_X ** (state.anchor - frame + 1)
                 np.multiply(q_inv, xr, out=tmp)
                 q = tmp.sum(axis=1)
                 qc = np.conj(q)
@@ -245,10 +247,10 @@ def _recursion(state, frames, frames_comp, beta_x, diag_load):
                 ok = (d > 0.0) & (d < max_d) & np.isfinite(e)
                 if not ok.all():
                     bad = ~ok
-                    s = _covariance(state.cov[:, :, bad], since(j + 1, bad), beta_x)
-                    z, p, _ = _loaded_solve(s, diag_load)
+                    s = _covariance(state.cov[:, :, bad], since(j + 1, bad))
+                    z, p, _ = _loaded_solve(s)
                     zc[:, bad] = np.conj(z)
-                    q_inv[:, :, bad] = beta_x ** (frame - state.anchor) * p
+                    q_inv[:, :, bad] = _BETA_X ** (frame - state.anchor) * p
             zc_buf[:, i] = zc
         # y = w^H x = x0 - z^H xr for the whole chunk at once (equal to e / d
         # in exact arithmetic), main and companion alike

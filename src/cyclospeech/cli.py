@@ -73,8 +73,24 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return replace(config, **_given(PipelineConfig, args))
 
 
-def _log_config(config: PipelineConfig, log_path=None, echo: bool = True) -> None:
-    lines = [f"{k}={v}" for k, v in config.as_mapping().items()]
+def _refuse_pipeline_flags(args: argparse.Namespace, why: str) -> None:
+    """Refuse a given ``--preproc`` or ``--mask`` flag, saying ``why``; the
+    same keys in a config file stay accepted."""
+    for name in ("preproc", "mask"):
+        if name in vars(args):
+            raise ValueError(f"--{name} {why}")
+
+
+def _log_config(
+    config: PipelineConfig, log_path=None, echo: bool = True, pipelines=()
+) -> None:
+    """Echo and write ``config`` as config-file lines. With ``pipelines``,
+    the ``preproc:mask`` pairs run instead of the config's own, its
+    ``preproc`` and ``mask`` are left out and each pair ends the file as a
+    ``# pipeline=`` comment, which ``--config`` skips."""
+    drop = ("preproc", "mask") if pipelines else ()
+    lines = [f"{k}={v}" for k, v in config.as_mapping().items() if k not in drop]
+    lines += [f"# pipeline={spec}" for spec in pipelines]
     for line in lines if echo else ():
         logger.info("config %s", line)
     if log_path is not None:
@@ -106,9 +122,8 @@ def _cmd_enhance(args) -> int:
 
 def _cmd_eval(args) -> int:
     base = _build_config(args)
-    for name in ("preproc", "mask"):
-        if args.pipeline and name in vars(args):
-            raise ValueError(f"--{name} and --pipeline cannot be combined")
+    if args.pipeline:
+        _refuse_pipeline_flags(args, "and --pipeline cannot be combined")
     configs = []
     for spec in args.pipeline or [f"{base.preproc}:{base.mask}"]:
         try:
@@ -117,17 +132,19 @@ def _cmd_eval(args) -> int:
             raise PipelineError("config", f"bad --pipeline spec {spec!r}; use preproc:mask")
         configs.append(replace(base, preproc=preproc, mask=mask))
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.dataset_dir)
-    _log_config(base)
+    pipelines = [f"{c.preproc}:{c.mask}" for c in configs] if args.pipeline else ()
+    _log_config(base, pipelines=pipelines)
     records, skips = eval_dataset(
         args.dataset_dir, configs, out_dir=out_dir, workers=args.workers
     )
     # the file only now: eval_dataset refuses bad input before creating anything
-    _log_config(base, out_dir / "run.log", echo=False)
+    _log_config(base, out_dir / "run.log", echo=False, pipelines=pipelines)
     print(f"evaluated {len(records)} records ({len(skips)} skipped) -> {out_dir}")
     return 0
 
 
 def _cmd_modset(args) -> int:
+    _refuse_pipeline_flags(args, "has no effect on modset, which runs no pipeline")
     config = _build_config(args)
     signal = read_wav(args.input)
     modset, reports = select_modulation_set(signal, config)

@@ -25,7 +25,7 @@ from .beamformer import process as cmpdr_process
 from .metrics import MetricRecord, si_sdr, stoi
 from .modset import CoherenceReport
 from .modulation import ModulationSet, build_augmented
-from .stft import AudioBuffer, StftConfig, default_stft_config, istft
+from .stft import AudioBuffer, StftConfig, istft
 from .wavio import read_wav, write_wav
 
 # Unused here; the traced benchmark wraps this module attribute.
@@ -57,9 +57,6 @@ class PipelineConfig:
     sample_rate: int = field(default=16000, metadata={"admits": "(0, inf)"})
     preproc: str = field(default="cmpdr", metadata={"admits": ("id", "wiener", "cmpdr")})
     mask: str = field(default="none", metadata={"admits": ("none", "oracle-irm")})
-    # beamformer
-    beta_x: float = field(default=0.95, metadata={"admits": "(0, 1)"})
-    diag_load: float = field(default=1e-6, metadata={"admits": "(0, inf)"})
     # modulation-set estimation
     peak_count: int = field(default=20, metadata={"admits": "[1, inf)"})
     coherence_threshold: float = field(default=0.3, metadata={"admits": "[0, 1]"})
@@ -79,6 +76,10 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_fields(self)
+        try:
+            self.stft_config()
+        except ValueError as exc:
+            raise ValueError(f"sample_rate: {exc}") from None
         if self.forced_modset is not None:
             try:
                 ModulationSet(self.forced_modset).validate_for_rate(self.sample_rate)
@@ -88,7 +89,7 @@ class PipelineConfig:
     def stft_config(self) -> StftConfig:
         """The analysis geometry, which follows ``sample_rate``: 32 ms
         frames, 8 ms hop (512/128/512 points at 16 kHz)."""
-        return default_stft_config(self.sample_rate)
+        return StftConfig(self.sample_rate)
 
     def label(self) -> str:
         return f"{self.preproc}+{self.mask}"
@@ -217,18 +218,15 @@ def enhance_buffer(
         # fills: a helper's own allocations would grow a second malloc arena
         return np.empty((len(shifts), frames[1] - frames[0], cfg.fft_size), dtype=np.complex128)
 
-    # the stack is positional and the rest keywords, as the traced
-    # benchmark's inspector of cmpdr_process expects
-    kwargs = dict(beta_x=config.beta_x, diag_load=config.diag_load, state=state)
     with ThreadPoolExecutor(max_workers=1) as helper:
         first = blocks[0]
         pending = helper.submit(build_augmented, noisy, shifts, cfg, frames=first, out=stack(first))
         for b, frames in enumerate(blocks):
             if companion is None:
-                y, y_clean = cmpdr_process(pending.result(), **kwargs), None
+                y, y_clean = cmpdr_process(pending.result(), state=state), None
             else:
                 aug_clean = build_augmented(companion, shifts, cfg, frames=frames, out=stack(frames))
-                y, y_clean = cmpdr_process(pending.result(), companion=aug_clean, **kwargs)
+                y, y_clean = cmpdr_process(pending.result(), companion=aug_clean, state=state)
                 aug_clean = None
             # the block's stacks are dropped before the next one's is made
             pending = None

@@ -5,8 +5,8 @@ from cyclospeech import (
     AudioBuffer,
     AugmentedSpectrogram,
     HarmonicNoiseParams,
+    StftConfig,
     cmpdr_process,
-    default_stft_config,
     modulate,
     stft,
     synth_harmonic_cs_noise,
@@ -19,7 +19,7 @@ FS = 16000
 
 @pytest.fixture(scope="session")
 def cfg16k():
-    return default_stft_config(FS)
+    return StftConfig(FS)
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +46,7 @@ def _anchor_weights(cov, diag_load=1e-6):
     return np.concatenate([[1.0 + 0j], -z[:, 0]]), bool(fallback[0])
 
 
-def _realized_weights(aug, beta_x=0.95, diag_load=1e-6):
+def _realized_weights(aug):
     """The filter ``process`` ran on ``aug``, C > 1: (output, final covariance
     (K, C, C), weights (L, K, C)).
 
@@ -60,15 +60,9 @@ def _realized_weights(aug, beta_x=0.95, diag_load=1e-6):
         unit = np.zeros((c, l, k), dtype=np.complex128)
         unit[j] = 1.0
         comp = AugmentedSpectrogram(channels=unit, modset=aug.modset, config=aug.config)
-        y, y_comp = cmpdr_process(
-            aug,
-            beta_x=beta_x,
-            diag_load=diag_load,
-            companion=comp,
-            state=state if j == 0 else None,
-        )
+        y, y_comp = cmpdr_process(aug, companion=comp, state=state if j == 0 else None)
         weights[:, :, j] = np.conj(y_comp.data)
-    cov = beamformer._covariance(state.cov, state.since, beta_x)
+    cov = beamformer._covariance(state.cov, state.since)
     return y, cov.transpose(2, 0, 1), weights
 
 

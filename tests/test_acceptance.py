@@ -12,9 +12,9 @@ from cyclospeech import (
     MixSpec,
     ModulationSet,
     PipelineConfig,
+    StftConfig,
     build_augmented,
     cmpdr_process,
-    default_stft_config,
     enhance_buffer,
     estimate_modulation_set_detailed,
     eval_dataset,
@@ -31,7 +31,7 @@ from cyclospeech import (
 from cyclospeech.dataset import SynthSettings
 
 FS = 16000
-CFG = default_stft_config(FS)
+CFG = StftConfig(FS)
 WELCH_RES = FS / 4096
 
 
@@ -95,7 +95,7 @@ def test_a2_distortionless_and_power_minimization(realized_weights):
     mixture, _, f0 = make_mixture(seed=201, snr_db=-10.0, duration=10.0)
     modset = ModulationSet((0.0, f0, 2 * f0))
     aug = build_augmented(mixture, modset, CFG)
-    _, _, weights = realized_weights(aug, beta_x=0.95)  # (L, K, C)
+    _, _, weights = realized_weights(aug)  # (L, K, C)
 
     chans = aug.channels
     n_ch, n_frames, n_bins = chans.shape

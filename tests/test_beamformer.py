@@ -18,7 +18,6 @@ from cyclospeech import (
 )
 from cyclospeech import beamformer
 from cyclospeech.modulation import AugmentedSpectrogram
-from cyclospeech.stft import periodic_hann
 
 FS = 16000
 
@@ -78,13 +77,7 @@ def test_singular_matrix_falls_back(anchor_weights):
 
 
 def small_config():
-    return StftConfig(
-        frame_len=64,
-        hop=16,
-        fft_size=64,
-        window=np.sqrt(periodic_hann(64)),
-        sample_rate=FS,
-    )
+    return StftConfig(2000)  # 64-sample frames, 16-sample hop, 64 bins
 
 
 def test_trivial_modset_is_bit_exact_identity(cfg16k):
@@ -181,13 +174,7 @@ def test_companion_cofiltering_is_linear(cfg16k):
 def stack(channels):
     """Wrap a (C, L, K) array as an augmented stack with K-point frames."""
     c, _, k = channels.shape
-    cfg = StftConfig(
-        frame_len=k,
-        hop=k // 4,
-        fft_size=k,
-        window=np.sqrt(periodic_hann(k)),
-        sample_rate=FS,
-    )
+    cfg = StftConfig(125 * k // 4)  # a hop of k / 4 samples
     shifts = ModulationSet(tuple(50.0 * i for i in range(c)))
     return AugmentedSpectrogram(channels=channels, modset=shifts, config=cfg)
 
@@ -288,9 +275,6 @@ def test_covariance_stays_hermitian_psd(realized_weights):
 
 def test_process_validates_inputs():
     aug = stack(np.ones((2, 5, 8), dtype=complex))
-    for beta_x in (0.0, 1.0, 1.5):
-        with pytest.raises(ValueError, match="beta_x"):
-            cmpdr_process(aug, beta_x=beta_x)
     with pytest.raises(ValueError, match="match"):
         cmpdr_process(aug, companion=stack(np.ones((2, 6, 8), dtype=complex)))
 

@@ -209,6 +209,41 @@ def test_eval_without_pipeline_runs_the_configs_preproc_and_mask(tmp_path, capsy
         assert not res.exists()
 
 
+def test_eval_run_log_with_pipelines_replays_the_run(tmp_path):
+    # the config file's preproc and mask are not what ran: run.log leaves
+    # them out and lists the pipelines as comments, which --config skips
+    clean_dir = make_clean_dir(tmp_path, count=1)
+    ds = tmp_path / "ds"
+    synth_dataset(clean_dir, ds, SynthSettings(seed=7))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preproc=wiener\nmask=oracle-irm\nmax_shifts=3\n", encoding="utf-8")
+    pipelines = ["--pipeline", "id:none", "--pipeline", "cmpdr:oracle-irm", "--modset", "0,100"]
+    argv = ["eval", "--dataset-dir", str(ds), *pipelines, "--out-dir"]
+    assert cli_main(argv + [str(tmp_path / "first"), "--config", str(cfg)]) == 0
+    log = (tmp_path / "first" / "run.log").read_text(encoding="utf-8")
+    assert "preproc=" not in log and "mask=" not in log
+    assert "max_shifts=3\n" in log
+    assert log.endswith("# pipeline=id:none\n# pipeline=cmpdr:oracle-irm\n")
+    replay = ["--config", str(tmp_path / "first" / "run.log")]
+    assert cli_main(argv + [str(tmp_path / "replay")] + replay) == 0
+    for name in ("metrics.csv", "run.log"):
+        assert digest(tmp_path / "replay" / name) == digest(tmp_path / "first" / name)
+
+
+def test_modset_refuses_preproc_and_mask_flags(tmp_path, capsys):
+    wav = tmp_path / "in.wav"
+    write_wav(wav, synth_speech_like(2.5, FS, seed=55))
+    for flag, value in (("--preproc", "wiener"), ("--mask", "oracle-irm")):
+        assert cli_main(["modset", str(wav), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} has no effect on modset" in err
+    # the same keys in a shared config file are accepted
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preproc=wiener\nmask=oracle-irm\n", encoding="utf-8")
+    assert cli_main(["modset", str(wav), "--config", str(cfg), "--modset", "0,100"]) == 0
+    assert "modulation set [Hz]: 0.0,100.0" in capsys.readouterr().out
+
+
 def test_synth_refuses_a_bad_seed(tmp_path, capsys):
     for seed in (-1, 2.5, True):
         with pytest.raises(ValueError, match="seed"):
@@ -375,8 +410,6 @@ NON_DEFAULT = {
     "sample_rate": 8000,
     "preproc": "wiener",
     "mask": "oracle-irm",
-    "beta_x": 0.9,
-    "diag_load": 2.5e-5,
     "peak_count": 12,
     "coherence_threshold": 0.45,
     "max_shifts": 3,
@@ -423,10 +456,12 @@ def test_every_synth_setting_has_a_flag(field):
 
 def test_flags_override_the_config_file(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("beta_x=0.9\nmax_shifts=3\nforced_modset=0,100\n", encoding="utf-8")
+    path.write_text(
+        "welch_overlap=0.25\nmax_shifts=3\nforced_modset=0,100\n", encoding="utf-8"
+    )
     argv = ["modset", "in.wav", "--config", str(path), "--max-shifts", "4", "--modset", ""]
     config = _build_config(build_parser().parse_args(argv))
-    assert config == PipelineConfig(beta_x=0.9, max_shifts=4, forced_modset=None)
+    assert config == PipelineConfig(welch_overlap=0.25, max_shifts=4, forced_modset=None)
 
 
 def test_eval_short_clip_scores_id_and_skips_cmpdr_with_stage(tmp_path):
@@ -451,8 +486,6 @@ OUT_OF_RANGE = {
     "sample_rate": (0, -8000, 16000.5),
     "preproc": ("dnn",),
     "mask": ("learned",),
-    "beta_x": (0.0, 1.0, float("nan"), True),
-    "diag_load": (0.0, -1e-6, True),
     "peak_count": (0, 2.5),
     "coherence_threshold": (-0.1, 1.5, True),
     "max_shifts": (0, True),

@@ -9,8 +9,8 @@ from cyclospeech import (
     AudioBuffer,
     HarmonicNoiseParams,
     ModulationSet,
+    StftConfig,
     build_augmented,
-    default_stft_config,
     modulate,
     stft,
     synth_harmonic_cs_noise,
@@ -93,7 +93,7 @@ def test_channel_zero_bit_identical():
     # bit, at each rate: the stack only moves the FFT output into its slot
     rng = np.random.default_rng(3)
     for fs in (8000, 11025, 16000, 44100, 48000):
-        cfg = default_stft_config(fs)
+        cfg = StftConfig(fs)
         sig = AudioBuffer(rng.standard_normal(6000), fs)
         modset = ModulationSet((0.0, 120.0, -57.3, 0.31 * fs))
         aug = build_augmented(sig, modset, cfg)
@@ -106,7 +106,7 @@ def test_build_augmented_peak_memory():
     # the stack is built in place: at most one channel's STFT temporaries
     # are alive next to it, never a second copy of the stack
     sig = AudioBuffer(np.random.default_rng(4).standard_normal(10 * FS), FS)
-    cfg = default_stft_config(FS)
+    cfg = StftConfig(FS)
     modset = ModulationSet((0.0, 100.0, 200.0, 300.0, 400.0))
     build_augmented(sig, modset, cfg)  # first-call setup stays out of the trace
     tracemalloc.start()
@@ -126,7 +126,7 @@ def test_build_augmented_peak_memory():
     data=st.data(),
 )
 def test_frame_range_equals_the_columns_of_the_whole_stack(fs, seconds, seed, data):
-    cfg = default_stft_config(fs)
+    cfg = StftConfig(fs)
     length = max(1, round(seconds * fs))
     sig = AudioBuffer(np.random.default_rng(seed).standard_normal(length), fs)
     modset = ModulationSet((0.0, 120.0, -57.3, 0.31 * fs))

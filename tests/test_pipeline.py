@@ -22,7 +22,7 @@ from cyclospeech import (
     ModulationSet,
     PipelineConfig,
     PipelineError,
-    default_stft_config,
+    StftConfig,
     enhance_buffer,
     istft,
     min_stats_noise_psd,
@@ -37,6 +37,7 @@ from cyclospeech import (
     wiener_gain,
     write_wav,
 )
+from cyclospeech.cli import main as cli_main
 
 FS = 16000
 RATES = (8000, 11025, 16000, 22050, 44100, 48000)
@@ -44,7 +45,6 @@ RATES = (8000, 11025, 16000, 22050, 44100, 48000)
 
 def test_config_defaults_are_valid():
     config = PipelineConfig()
-    assert config.beta_x == 0.95
     assert config.stft_config().frame_len == 512
     assert config.label() == "cmpdr+none"
 
@@ -54,8 +54,8 @@ def test_config_validation():
         PipelineConfig(preproc="dnn")
     with pytest.raises(ValueError, match="mask"):
         PipelineConfig(mask="learned")
-    with pytest.raises(ValueError, match="beta_x"):
-        PipelineConfig(beta_x=1.0)
+    with pytest.raises(ValueError, match="welch_overlap"):
+        PipelineConfig(welch_overlap=1.0)
     with pytest.raises(ValueError, match="first shift"):
         PipelineConfig(forced_modset=(100.0, 0.0))
 
@@ -66,7 +66,7 @@ def test_config_file_roundtrip(tmp_path):
         "# pipeline settings\n"
         "preproc=wiener\n"
         "mask=oracle-irm\n"
-        "beta_x=0.9\n"
+        "coherence_threshold=0.45\n"
         "max_shifts=3\n"
         "forced_modset=0,110,220\n",
         encoding="utf-8",
@@ -74,7 +74,7 @@ def test_config_file_roundtrip(tmp_path):
     config = PipelineConfig.from_file(path)
     assert config.preproc == "wiener"
     assert config.mask == "oracle-irm"
-    assert config.beta_x == 0.9
+    assert config.coherence_threshold == 0.45
     assert config.max_shifts == 3
     assert config.forced_modset == (0.0, 110.0, 220.0)
     # mapping round trip preserves everything
@@ -87,12 +87,19 @@ def test_config_file_roundtrip(tmp_path):
 @pytest.mark.parametrize("fs", [8000, 11025, 16000, 22050, 44100, 48000])
 def test_config_geometry_follows_sample_rate(fs):
     got = PipelineConfig(sample_rate=fs).stft_config()
-    want = default_stft_config(fs)
-    assert (got.frame_len, got.hop, got.fft_size, got.sample_rate) == (
-        want.frame_len, want.hop, want.fft_size, want.sample_rate,
-    )
-    assert np.array_equal(got.window, want.window)
-    assert np.array_equal(got.synthesis_window, want.synthesis_window)
+    assert got == StftConfig(fs)
+    assert (got.sample_rate, got.hop) == (fs, round(0.008 * fs))
+
+
+def test_config_refuses_a_rate_without_a_hop(capsys):
+    # below 63 Hz the 8 ms hop rounds to no sample: refused by field name
+    # when the config is built, not later by the STFT
+    PipelineConfig(sample_rate=63)
+    for rate in (1, 50, 62):
+        with pytest.raises(ValueError, match=f"^sample_rate: rate {rate} Hz is below 63 Hz"):
+            PipelineConfig(sample_rate=rate)
+    assert cli_main(["modset", "in.wav", "--sample-rate", "50"]) == 2
+    assert "sample_rate: rate 50 Hz" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fs", [8000, 11025, 22050, 44100, 48000])
@@ -116,9 +123,10 @@ def test_enhance_off_16k_is_finite_and_length_preserving(fs, config):
 
 
 def test_config_unknown_key_rejected(tmp_path):
-    # ms_alpha: the Wiener settings are constants of baselines.py, not keys
+    # ms_alpha, beta_x: the Wiener settings and the beamformer's smoothing
+    # are constants of baselines.py and beamformer.py, not keys
     path = tmp_path / "bad.cfg"
-    for line in ("learning_rate=0.1", "ms_alpha=0.85"):
+    for line in ("learning_rate=0.1", "ms_alpha=0.85", "beta_x=0.95"):
         path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unknown config key"):
             PipelineConfig.from_file(path)
@@ -157,7 +165,7 @@ def test_trivial_modset_is_the_identity_at_every_rate(fs, length, seed):
     trivial = enhance_buffer(
         noisy, PipelineConfig(sample_rate=fs, preproc="cmpdr", forced_modset=(0.0,))
     )
-    cfg = default_stft_config(fs)
+    cfg = StftConfig(fs)
     assert np.array_equal(trivial_stage(noisy, cfg), stft(noisy, cfg).data)
     assert np.array_equal(ident.enhanced.samples, trivial.enhanced.samples)
 
@@ -242,7 +250,7 @@ def test_a_failing_stack_build_is_raised_and_leaves_no_thread(budget, monkeypatc
 def test_id_and_wiener_equal_their_whole_signal_references():
     # 628 frames, so two blocks, against state-free whole-signal calls
     mix, _ = _mixture(5.0, seed=72)
-    x = stft(mix, default_stft_config(FS))
+    x = stft(mix, StftConfig(FS))
     assert x.num_frames == 628
     noise_psd, smoothed = min_stats_noise_psd(x)
     gain = wiener_gain(smoothed, noise_psd)

@@ -35,12 +35,15 @@ def _flag_type(parse):
     return flag_type
 
 
-def _add_settings_args(parser: argparse.ArgumentParser, cls) -> None:
-    """One flag per field of the settings dataclass ``cls``, ``--dashed-name``
-    unless the field's metadata names it, parsed as a config file parses that
-    key, with the field's admissible values as its help; the settings check
-    them. A flag left out is absent from the namespace."""
+def _add_settings_args(parser: argparse.ArgumentParser, cls, skip=()) -> None:
+    """One flag per field of the settings dataclass ``cls`` not named in
+    ``skip``, ``--dashed-name`` unless the field's metadata names it, parsed
+    as a config file parses that key, with the field's admissible values as
+    its help; the settings check them. A flag left out is absent from the
+    namespace."""
     for f in fields(cls):
+        if f.name in skip:
+            continue
         parse = field_parser(cls, f.name)
         allowed, default = f.metadata.get("admits"), f.default
         if isinstance(allowed, tuple):
@@ -71,14 +74,6 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
     )
     return replace(config, **_given(PipelineConfig, args))
-
-
-def _refuse_pipeline_flags(args: argparse.Namespace, why: str) -> None:
-    """Refuse a given ``--preproc`` or ``--mask`` flag, saying ``why``; the
-    same keys in a config file stay accepted."""
-    for name in ("preproc", "mask"):
-        if name in vars(args):
-            raise ValueError(f"--{name} {why}")
 
 
 def _log_config(
@@ -123,7 +118,10 @@ def _cmd_enhance(args) -> int:
 def _cmd_eval(args) -> int:
     base = _build_config(args)
     if args.pipeline:
-        _refuse_pipeline_flags(args, "and --pipeline cannot be combined")
+        # the same keys in a config file stay accepted
+        for name in ("preproc", "mask"):
+            if name in vars(args):
+                raise ValueError(f"--{name} and --pipeline cannot be combined")
     configs = []
     for spec in args.pipeline or [f"{base.preproc}:{base.mask}"]:
         try:
@@ -144,7 +142,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_modset(args) -> int:
-    _refuse_pipeline_flags(args, "has no effect on modset, which runs no pipeline")
     config = _build_config(args)
     signal = read_wav(args.input)
     modset, reports = select_modulation_set(signal, config)
@@ -197,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mod = sub.add_parser("modset", help="estimate and print the modulation set")
     p_mod.add_argument("input")
     p_mod.add_argument("--config", help="flat key=value config file")
-    _add_settings_args(p_mod, PipelineConfig)
+    # modset runs no pipeline; preproc= and mask= lines in a shared config
+    # file are still accepted
+    _add_settings_args(p_mod, PipelineConfig, skip=("preproc", "mask"))
     p_mod.set_defaults(func=_cmd_modset)
 
     return parser

@@ -61,6 +61,12 @@ MIN_DURATION_SEC = 2.0
 # Relative distance from the refinement spectrum's peak within which points
 # count as tied; far above the chirp-z rounding (about 1e-11 relative).
 SHIFT_TIE_RTOL = 1e-9
+# The estimator's fixed settings, the defaults of the functions below.
+PEAK_COUNT = 20  # periodogram peaks kept
+COHERENCE_THRESHOLD = 0.3  # a candidate's coherence to be accepted
+MAX_SHIFTS = 5  # in the set, zero included
+WELCH_SEG = 4096  # samples: a 3.9 Hz grid at 16 kHz
+WELCH_OVERLAP = 0.5
 
 
 def _usable_cpus() -> int:
@@ -114,7 +120,7 @@ class CoherenceReport:
 
 
 def welch_periodogram(
-    signal: AudioBuffer, seg_len: int = 4096, overlap: float = 0.5
+    signal: AudioBuffer, seg_len: int = WELCH_SEG, overlap: float = WELCH_OVERLAP
 ) -> tuple[np.ndarray, np.ndarray]:
     """Welch PSD with Hann segments; returns (frequencies, psd).
 
@@ -142,7 +148,7 @@ def welch_periodogram(
     return freqs, psd
 
 
-def pick_peaks(freqs: np.ndarray, psd: np.ndarray, max_peaks: int = 20) -> PeakList:
+def pick_peaks(freqs: np.ndarray, psd: np.ndarray, max_peaks: int = PEAK_COUNT) -> PeakList:
     """Local PSD maxima at least ``PEAK_THRESHOLD_DB`` above the median and
     ``PEAK_MIN_SEPARATION_BINS`` apart, strongest ``max_peaks`` kept,
     returned frequency-sorted."""
@@ -367,20 +373,21 @@ def _in_threads(score, candidates: list[float], buffer_shape) -> list[CoherenceR
 def estimate_modulation_set_detailed(
     signal: AudioBuffer,
     cfg: StftConfig,
-    peak_count: int = 20,
-    coherence_threshold: float = 0.3,
-    max_shifts: int = 5,
-    seg_len: int = 4096,
-    overlap: float = 0.5,
+    peak_count: int = PEAK_COUNT,
+    coherence_threshold: float = COHERENCE_THRESHOLD,
+    max_shifts: int = MAX_SHIFTS,
+    seg_len: int = WELCH_SEG,
+    overlap: float = WELCH_OVERLAP,
 ) -> tuple[ModulationSet, list[CoherenceReport]]:
-    """Estimate the modulation set and report per-candidate coherence.
+    """Estimate the modulation set and report per-candidate coherence; the
+    settings default to the module constants, which every pipeline uses.
 
-    Shifts below one STFT bin are rejected:
-    a copy shifted by less than the analysis resolution still overlaps the
-    unshifted content bin-for-bin, so its coherence is trivially high. The
-    smallest surviving shift is always kept: it is the fundamental of the
-    dominant harmonic family, and pairs every noise harmonic with its direct
-    neighbour; the remaining slots are filled by coherence rank.
+    Shifts below one STFT bin are rejected: a copy shifted by less than the
+    analysis resolution still overlaps the unshifted content bin-for-bin, so
+    its coherence is trivially high. The smallest surviving shift is always
+    kept: it is the fundamental of the dominant harmonic family, and pairs
+    every noise harmonic with its direct neighbour; the remaining slots are
+    filled by coherence rank.
 
     Candidates are scored on as many threads as there are usable CPUs
     (``eval``'s pool workers use their share of them); the set and every

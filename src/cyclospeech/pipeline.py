@@ -6,7 +6,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -47,23 +47,17 @@ class PipelineError(RuntimeError):
 @dataclass
 class PipelineConfig:
     """Everything one enhancement run depends on; loadable from a flat
-    key=value file with CLI overrides.
+    key=value file with CLI overrides. The estimator's settings are fixed.
 
     A field's metadata ``admits`` is its admissible values, an interval
     string or a tuple of choices, checked at construction (see ``_fields``)
     and shown in the field's CLI help.
     """
 
-    sample_rate: int = field(default=16000, metadata={"admits": "(0, inf)"})
+    # below 63 Hz the 8 ms hop of the STFT rounds to no sample
+    sample_rate: int = field(default=16000, metadata={"admits": "[63, inf)"})
     preproc: str = field(default="cmpdr", metadata={"admits": ("id", "wiener", "cmpdr")})
     mask: str = field(default="none", metadata={"admits": ("none", "oracle-irm")})
-    # modulation-set estimation
-    peak_count: int = field(default=20, metadata={"admits": "[1, inf)"})
-    coherence_threshold: float = field(default=0.3, metadata={"admits": "[0, 1]"})
-    max_shifts: int = field(default=5, metadata={"admits": "[1, inf)"})
-    # a one-sample Welch segment gives a one-point grid, which has no step
-    welch_seg: int = field(default=4096, metadata={"admits": "[2, inf)"})
-    welch_overlap: float = field(default=0.5, metadata={"admits": "[0, 1)"})
     # when set, bypasses estimation entirely: zero first, distinct, each
     # below the Nyquist frequency
     forced_modset: Optional[tuple[float, ...]] = field(
@@ -74,12 +68,15 @@ class PipelineConfig:
         },
     )
 
+    # Unused here; the benchmark reads these. Class attributes, not fields.
+    peak_count: ClassVar[int] = modset_module.PEAK_COUNT
+    coherence_threshold: ClassVar[float] = modset_module.COHERENCE_THRESHOLD
+    max_shifts: ClassVar[int] = modset_module.MAX_SHIFTS
+    welch_seg: ClassVar[int] = modset_module.WELCH_SEG
+    welch_overlap: ClassVar[float] = modset_module.WELCH_OVERLAP
+
     def __post_init__(self):
         check_fields(self)
-        try:
-            self.stft_config()
-        except ValueError as exc:
-            raise ValueError(f"sample_rate: {exc}") from None
         if self.forced_modset is not None:
             try:
                 ModulationSet(self.forced_modset).validate_for_rate(self.sample_rate)
@@ -135,22 +132,14 @@ def select_modulation_set(
     signal: AudioBuffer, config: PipelineConfig
 ) -> tuple[ModulationSet, list[CoherenceReport]]:
     """The shifts the beamformer uses on ``signal``: ``config.forced_modset``
-    when set (with no candidate reports), else the estimate from the signal.
+    when set (with no candidate reports), else the estimate at fixed settings.
 
     The estimator is looked up on its module at call time, so a wrapper
     installed there (as the traced benchmark does) sees every estimate.
     """
     if config.forced_modset is not None:
         return ModulationSet(config.forced_modset), []
-    return modset_module.estimate_modulation_set_detailed(
-        signal,
-        config.stft_config(),
-        peak_count=config.peak_count,
-        coherence_threshold=config.coherence_threshold,
-        max_shifts=config.max_shifts,
-        seg_len=config.welch_seg,
-        overlap=config.welch_overlap,
-    )
+    return modset_module.estimate_modulation_set_detailed(signal, config.stft_config())
 
 
 @dataclass

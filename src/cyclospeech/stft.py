@@ -8,6 +8,7 @@ bookkeeping. Synthesis into a real array keeps each frame's real part.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,7 +26,8 @@ __all__ = [
 
 @dataclass
 class AudioBuffer:
-    """A mono sampled waveform; samples may be real or complex."""
+    """A mono sampled waveform; samples may be real or complex, the rate is
+    a positive integer in Hz."""
 
     samples: np.ndarray
     sample_rate: int
@@ -39,7 +41,7 @@ class AudioBuffer:
         else:
             data = data.astype(np.float64, copy=False)
         self.samples = data
-        self.sample_rate = int(self.sample_rate)
+        self.sample_rate = int(_integral_rate(self.sample_rate))
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
@@ -64,6 +66,13 @@ class AudioBuffer:
             )
 
 
+def _integral_rate(rate):
+    """``rate``, refused unless an integer (a numpy one too), not a bool."""
+    if isinstance(rate, bool) or not isinstance(rate, numbers.Integral):
+        raise ValueError(f"sample rate must be an integer, got {rate!r}")
+    return rate
+
+
 def periodic_hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
@@ -77,13 +86,15 @@ class StftConfig:
     the hop divides the frame at every rate (1412/353 at 44.1 kHz). The FFT
     size is the next power of two at or above the frame length (512 points
     at 16 kHz). The synthesis window is the canonical dual of the analysis
-    window, so the pair overlap-adds to one by construction. Immutable, its
-    windows read-only; two configs are equal when their rates are.
+    window, so the pair overlap-adds to one by construction. The rate is an
+    integer of at least 63 Hz. Immutable, its windows read-only; two configs
+    are equal when their rates are.
     """
 
     sample_rate: int
 
     def __post_init__(self):
+        _integral_rate(self.sample_rate)
         if self.hop <= 0:
             raise ValueError(
                 f"rate {self.sample_rate} Hz is below 63 Hz, where the 8 ms "

@@ -216,13 +216,13 @@ def test_eval_run_log_with_pipelines_replays_the_run(tmp_path):
     ds = tmp_path / "ds"
     synth_dataset(clean_dir, ds, SynthSettings(seed=7))
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("preproc=wiener\nmask=oracle-irm\nmax_shifts=3\n", encoding="utf-8")
+    cfg.write_text("preproc=wiener\nmask=oracle-irm\n", encoding="utf-8")
     pipelines = ["--pipeline", "id:none", "--pipeline", "cmpdr:oracle-irm", "--modset", "0,100"]
     argv = ["eval", "--dataset-dir", str(ds), *pipelines, "--out-dir"]
     assert cli_main(argv + [str(tmp_path / "first"), "--config", str(cfg)]) == 0
     log = (tmp_path / "first" / "run.log").read_text(encoding="utf-8")
     assert "preproc=" not in log and "mask=" not in log
-    assert "max_shifts=3\n" in log
+    assert "sample_rate=16000\n" in log
     assert log.endswith("# pipeline=id:none\n# pipeline=cmpdr:oracle-irm\n")
     replay = ["--config", str(tmp_path / "first" / "run.log")]
     assert cli_main(argv + [str(tmp_path / "replay")] + replay) == 0
@@ -233,10 +233,12 @@ def test_eval_run_log_with_pipelines_replays_the_run(tmp_path):
 def test_modset_refuses_preproc_and_mask_flags(tmp_path, capsys):
     wav = tmp_path / "in.wav"
     write_wav(wav, synth_speech_like(2.5, FS, seed=55))
+    # modset runs no pipeline, so it has neither flag
     for flag, value in (("--preproc", "wiener"), ("--mask", "oracle-irm")):
-        assert cli_main(["modset", str(wav), flag, value]) == 2
-        err = capsys.readouterr().err
-        assert f"{flag} has no effect on modset" in err
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["modset", str(wav), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     # the same keys in a shared config file are accepted
     cfg = tmp_path / "run.cfg"
     cfg.write_text("preproc=wiener\nmask=oracle-irm\n", encoding="utf-8")
@@ -410,11 +412,6 @@ NON_DEFAULT = {
     "sample_rate": 8000,
     "preproc": "wiener",
     "mask": "oracle-irm",
-    "peak_count": 12,
-    "coherence_threshold": 0.45,
-    "max_shifts": 3,
-    "welch_seg": 2048,
-    "welch_overlap": 0.25,
     "forced_modset": (0.0, 97.31234567, 194.6246913),
 }
 
@@ -427,7 +424,7 @@ def _flag(name):
 def test_every_config_field_has_a_flag_parsed_like_the_config_file(field):
     value = NON_DEFAULT[field.name]
     text = str(PipelineConfig(**{field.name: value}).as_mapping()[field.name])
-    args = build_parser().parse_args(["modset", "in.wav", _flag(field.name), text])
+    args = build_parser().parse_args(["enhance", "in.wav", "out.wav", _flag(field.name), text])
     from_flag = _build_config(args)
     assert from_flag == PipelineConfig.from_mapping({field.name: text})
     assert from_flag == PipelineConfig(**{field.name: value})
@@ -457,11 +454,38 @@ def test_every_synth_setting_has_a_flag(field):
 def test_flags_override_the_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
-        "welch_overlap=0.25\nmax_shifts=3\nforced_modset=0,100\n", encoding="utf-8"
+        "mask=oracle-irm\nsample_rate=8000\nforced_modset=0,100\n", encoding="utf-8"
     )
-    argv = ["modset", "in.wav", "--config", str(path), "--max-shifts", "4", "--modset", ""]
+    argv = ["modset", "in.wav", "--config", str(path), "--sample-rate", "22050", "--modset", ""]
     config = _build_config(build_parser().parse_args(argv))
-    assert config == PipelineConfig(welch_overlap=0.25, max_shifts=4, forced_modset=None)
+    assert config == PipelineConfig(mask="oracle-irm", sample_rate=22050, forced_modset=None)
+
+
+# The settings flags of each subcommand: the fields it honours, no others
+SETTINGS_FLAGS = {
+    "enhance": {"--sample-rate", "--preproc", "--mask", "--modset"},
+    "eval": {"--sample-rate", "--preproc", "--mask", "--modset"},
+    "modset": {"--sample-rate", "--modset"},
+    "synth": {
+        "--seed", "--snr-range", "--f0-range", "--num-harmonics",
+        "--correlation", "--envelope-rate", "--amplitude-decay", "--encoding",
+    },
+}
+OWN_FLAGS = {
+    "enhance": {"--reference", "--log", "--config"},
+    "eval": {"--dataset-dir", "--out-dir", "--pipeline", "--workers", "--config"},
+    "modset": {"--config"},
+    "synth": {"--clean-dir", "--out-dir"},
+}
+
+
+def test_each_subcommand_offers_the_settings_flags_it_honours():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert set(commands) == set(SETTINGS_FLAGS)
+    for name, sub in commands.items():
+        offered = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        assert offered == SETTINGS_FLAGS[name] | OWN_FLAGS[name], name
 
 
 def test_eval_short_clip_scores_id_and_skips_cmpdr_with_stage(tmp_path):
@@ -483,14 +507,9 @@ def test_eval_short_clip_scores_id_and_skips_cmpdr_with_stage(tmp_path):
 # unknown choices, non-integers for integer fields, shift sets that are no
 # set, and ranges that are no (low, high) pair.
 OUT_OF_RANGE = {
-    "sample_rate": (0, -8000, 16000.5),
+    "sample_rate": (0, -8000, 62, 16000.5, True),
     "preproc": ("dnn",),
     "mask": ("learned",),
-    "peak_count": (0, 2.5),
-    "coherence_threshold": (-0.1, 1.5, True),
-    "max_shifts": (0, True),
-    "welch_seg": (0, 1, 4096.5),
-    "welch_overlap": (-0.1, 1.0, 1.5, True),
     "forced_modset": ((100.0,), (0.0, 50.0, 50.0), (0.0, 8000.0)),
     "seed": (-1, 2.5, True),
     "snr_range": ((float("nan"), 0.0), (0.0, -10.0), (-20.0, -10.0, 0.0), (False, True)),
@@ -515,7 +534,7 @@ def test_out_of_range_value_refused_by_constructor_and_flag(cls, field, tmp_path
     name = field.name
     out = tmp_path / "ds"
     if cls is PipelineConfig:
-        argv = ["modset", str(tmp_path / "in.wav")]
+        argv = ["enhance", str(tmp_path / "in.wav"), str(tmp_path / "out.wav")]
     else:
         clean_dir = make_clean_dir(tmp_path, count=1, duration=1.0)
         argv = ["synth", "--clean-dir", str(clean_dir), "--out-dir", str(out)]

@@ -179,6 +179,19 @@ def test_rate_without_a_hop_refused():
             StftConfig(rate)
 
 
+def test_rate_must_be_an_integer():
+    # a fractional rate used to be truncated by AudioBuffer and kept by
+    # StftConfig, so the two then disagreed; a bool was taken as 1 Hz
+    for rate in (16000.9, 16000.5, 16000.0, True):
+        with pytest.raises(ValueError, match=f"integer, got {rate!r}$"):
+            AudioBuffer(np.zeros(8), rate)
+        with pytest.raises(ValueError, match=f"integer, got {rate!r}$"):
+            StftConfig(rate)
+    rate = np.int64(FS)
+    assert AudioBuffer(np.zeros(8), rate).sample_rate == FS
+    assert StftConfig(rate) == StftConfig(FS)
+
+
 def test_complex_input_supported(cfg16k):
     rng = np.random.default_rng(5)
     z = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)

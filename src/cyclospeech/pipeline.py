@@ -168,7 +168,8 @@ def enhance_buffer(
     carrying its state to the next, and the output is the same for any
     block length. One helper thread builds each block's noisy stack, the
     next block's while this thread finishes the current one, so two blocks'
-    stacks are never held at once.
+    stacks are never held at once, and each block's spectrograms are
+    dropped before the next block's clean stack is made.
     Raises ``ValueError`` on a NaN or infinite sample in ``noisy`` or
     ``clean``, naming its index, rather than returning non-finite audio.
     """
@@ -234,6 +235,8 @@ def enhance_buffer(
                 residual = replace(y, data=y.data - y_clean.data)
                 y = apply_mask(y, oracle_irm(y_clean, residual, eps=eps))
             istft(y, out=enhanced, first_frame=frames[0])
+            # and its spectrograms and gains before the next block's stacks are made
+            y = y_clean = residual = noise_psd = smoothed = gain = None
     return EnhanceResult(enhanced=AudioBuffer(enhanced, noisy.sample_rate), modset=modset)
 
 

@@ -53,7 +53,11 @@ class AudioBuffer:
         return len(self) / self.sample_rate
 
     def power(self) -> float:
-        return float(np.mean(np.abs(self.samples) ** 2)) if len(self) else 0.0
+        """Mean of |x|^2, with one temporary as long as the signal."""
+        if not len(self):
+            return 0.0
+        magnitude = np.abs(self.samples)
+        return float(np.mean(np.square(magnitude, out=magnitude)))
 
     def require_finite(self, what: str = "signal") -> None:
         """Raise ``ValueError`` naming the first NaN or infinite sample."""

@@ -10,6 +10,11 @@ pairwise envelope correlation equals ``correlation`` exactly. The envelopes
 are kept signed (zero mean): rectifying them would leave deterministic
 carrier lines at every harmonic, making even correlation = 0 noise strongly
 spectrally coherent, which defeats the parameter's purpose.
+
+Both generators hold about 4-5x their output while they run: every step
+works in place on a few signal-length arrays, and each elementwise loop runs
+over fixed-size chunks of one scratch buffer. The chunk length leaves every
+output bit-identical.
 """
 
 from __future__ import annotations
@@ -51,17 +56,50 @@ class MixSpec:
         check_fields(self)
 
 
-def _lowpass_gaussian(rng: np.random.Generator, n: int, fs: float, cutoff: float) -> np.ndarray:
-    """Zero-mean unit-variance Gaussian process with ~cutoff Hz bandwidth."""
-    white = rng.standard_normal(n)
-    spec = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
-    spec *= np.exp(-0.5 * (freqs / cutoff) ** 2)
-    g = np.fft.irfft(spec, n)
-    std = g.std()
+# Samples per step of the elementwise loops: their temporaries live in one
+# scratch buffer of this length, not in arrays as long as the signal. Any
+# value gives the same samples bit for bit.
+_CHUNK = 1 << 14
+
+
+def _chunks(n: int):
+    """(lo, hi) bounds of consecutive ``_CHUNK``-sample steps over ``n``."""
+    return ((lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
+
+
+def _max_abs(x: np.ndarray) -> float:
+    return max(np.max(np.abs(x[lo:hi])) for lo, hi in _chunks(len(x)))
+
+
+def _gaussian_noise(
+    rng: np.random.Generator, fs: float, center: float, width: float, out: np.ndarray
+) -> np.ndarray:
+    """Fill ``out`` with white Gaussian noise weighted in frequency by
+    exp(-0.5 ((f - center) / width)^2), and return it."""
+    n = len(out)
+    rng.standard_normal(out=out)
+    spec = np.fft.rfft(out)
+    step = 1.0 / (n * (1.0 / fs))  # the bin spacing, as np.fft.rfftfreq(n, 1 / fs)
+    for lo, hi in _chunks(len(spec)):
+        x = np.arange(lo, hi) * step
+        x -= center
+        x /= width
+        x **= 2
+        x *= -0.5
+        spec[lo:hi] *= np.exp(x, out=x)
+    return np.fft.irfft(spec, n, out=out)
+
+
+def _lowpass_gaussian(
+    rng: np.random.Generator, fs: float, cutoff: float, out: np.ndarray
+) -> np.ndarray:
+    """Fill ``out`` with a zero-mean unit-variance Gaussian process with
+    ~cutoff Hz bandwidth, and return it."""
+    std = _gaussian_noise(rng, fs, 0.0, cutoff, out).std()
     if std == 0.0:
         raise ValueError("degenerate envelope process (too few samples?)")
-    return g / std
+    out /= std
+    return out
 
 
 def synth_harmonic_cs_noise(
@@ -77,21 +115,34 @@ def synth_harmonic_cs_noise(
     if n <= 0:
         raise ValueError("duration must be positive")
     rng = np.random.default_rng(params.seed)
-    shared = _lowpass_gaussian(rng, n, fs, params.envelope_rate)
-    t = np.arange(n) / fs
-    w_shared = np.sqrt(params.correlation)
+    shared = _lowpass_gaussian(rng, fs, params.envelope_rate, np.empty(n))
+    shared *= np.sqrt(params.correlation)
     w_own = np.sqrt(1.0 - params.correlation)
+    own = np.empty(n)
     v = np.zeros(n)
+    scratch = np.empty(min(_CHUNK, n))
     for p in range(1, params.num_harmonics + 1):
-        own = _lowpass_gaussian(rng, n, fs, params.envelope_rate)
-        envelope = w_shared * shared + w_own * own
+        _lowpass_gaussian(rng, fs, params.envelope_rate, own)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         amp = p ** (-params.amplitude_decay)
-        v += amp * envelope * np.cos(2.0 * np.pi * p * params.f0 * t + phase)
+        omega = 2.0 * np.pi * p * params.f0
+        # own becomes amp * envelope
+        own *= w_own
+        own += shared
+        own *= amp
+        for lo, hi in _chunks(n):
+            x = np.divide(np.arange(lo, hi), fs, out=scratch[: hi - lo])
+            x *= omega
+            x += phase
+            x = np.cos(x, out=x)
+            x *= own[lo:hi]
+            v[lo:hi] += x
+    del shared, own
     rms = np.sqrt(np.mean(v**2))
     if rms == 0.0:
         raise ValueError("generated noise has zero power")
-    return AudioBuffer(v / rms, fs)
+    v /= rms
+    return AudioBuffer(v, fs)
 
 
 def mix_at_snr(
@@ -132,43 +183,67 @@ def synth_speech_like(duration: float, fs: int, seed: int = 0) -> AudioBuffer:
     if n <= 0:
         raise ValueError("duration must be positive")
     rng = np.random.default_rng(seed)
-    t = np.arange(n) / fs
+    scratch = np.empty(min(_CHUNK, n))
 
     # drifting fundamental, kept well above the machinery-noise f0 range
     f0_base = rng.uniform(150.0, 240.0)
-    contour = f0_base * (1.0 + 0.08 * _lowpass_gaussian(rng, n, fs, 2.0))
-    contour = np.clip(contour, 80.0, 400.0)
-    inst_phase = 2.0 * np.pi * np.cumsum(contour) / fs
+    inst_phase = _lowpass_gaussian(rng, fs, 2.0, np.empty(n))
+    # the pitch contour, then its running phase
+    inst_phase *= 0.08
+    inst_phase += 1.0
+    inst_phase *= f0_base
+    np.clip(inst_phase, 80.0, 400.0, out=inst_phase)
+    max_harm = int((0.95 * fs / 2) / inst_phase.max())
+    np.cumsum(inst_phase, out=inst_phase)
+    inst_phase *= 2.0 * np.pi
+    inst_phase /= fs
 
-    max_harm = int((0.95 * fs / 2) / contour.max())
     source = np.zeros(n)
     for p in range(1, max(2, max_harm) + 1):
-        source += (p**-1.0) * np.cos(p * inst_phase + rng.uniform(0, 2 * np.pi))
+        phase = rng.uniform(0, 2 * np.pi)
+        for lo, hi in _chunks(n):
+            x = np.multiply(inst_phase[lo:hi], p, out=scratch[: hi - lo])
+            x += phase
+            x = np.cos(x, out=x)
+            x *= p**-1.0
+            source[lo:hi] += x
+    del inst_phase
 
     # three fixed formant resonators per utterance
-    voiced = source
-    for lo, hi in ((300.0, 800.0), (900.0, 2200.0), (2300.0, 3000.0)):
-        freq = rng.uniform(lo, hi)
+    voiced = source.copy()
+    for band in ((300.0, 800.0), (900.0, 2200.0), (2300.0, 3000.0)):
+        freq = rng.uniform(*band)
         r = 0.97
         b = [1.0 - r]
         a = [1.0, -2.0 * r * np.cos(2.0 * np.pi * freq / fs), r * r]
-        voiced = voiced + 1.5 * lfilter(b, a, source)
-    voiced /= np.max(np.abs(voiced))
+        state = np.zeros(2)
+        for lo, hi in _chunks(n):
+            y, state = lfilter(b, a, source[lo:hi], zi=state)
+            y *= 1.5
+            voiced[lo:hi] += y
+    del source
+    voiced /= _max_abs(voiced)
 
     # syllabic modulation (~4 Hz): realistic 10-20 dB swings within a phrase,
     # never a full dropout; true silence only comes from the phrase gate below
-    syllabic = np.maximum(0.5 * _lowpass_gaussian(rng, n, fs, 4.0) + 0.6, 0.08)
+    syllabic = _lowpass_gaussian(rng, fs, 4.0, np.empty(n))
+    syllabic *= 0.5
+    syllabic += 0.6
+    np.maximum(syllabic, 0.08, out=syllabic)
+    speech = voiced  # becomes voiced * syllabic + 0.4 * frication * fric_env
+    speech *= syllabic
+    del syllabic
 
     # unvoiced component: band-limited noise with its own slow envelope
-    white = rng.standard_normal(n)
-    spec = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
-    spec *= np.exp(-0.5 * ((freqs - 3500.0) / 1200.0) ** 2)
-    frication = np.fft.irfft(spec, n)
-    frication /= np.max(np.abs(frication))
-    fric_env = np.maximum(_lowpass_gaussian(rng, n, fs, 3.0) - 0.2, 0.0)
-
-    speech = voiced * syllabic + 0.4 * frication * fric_env
+    frication = _gaussian_noise(rng, fs, 3500.0, 1200.0, np.empty(n))
+    frication /= _max_abs(frication)
+    frication *= 0.4
+    fric_env = _lowpass_gaussian(rng, fs, 3.0, np.empty(n))
+    fric_env -= 0.2
+    np.maximum(fric_env, 0.0, out=fric_env)
+    fric_env *= frication
+    speech += fric_env
+    del frication, fric_env
 
     # explicit inter-phrase pauses so noise trackers see true speech gaps
     gate = np.zeros(n)
@@ -185,8 +260,12 @@ def synth_speech_like(duration: float, fs: int, seed: int = 0) -> AudioBuffer:
         kernel /= kernel.sum()
         gate = np.convolve(gate, kernel, mode="same")
     speech *= gate
+    active = gate > 0.5
+    del gate
 
-    rms = np.sqrt(np.mean(speech[gate > 0.5] ** 2)) if np.any(gate > 0.5) else 0.0
+    rms = np.sqrt(np.mean(speech[active] ** 2)) if np.any(active) else 0.0
     if rms == 0.0:
         raise ValueError("generated signal is silent; increase duration")
-    return AudioBuffer(0.1 * speech / rms, fs)
+    speech *= 0.1
+    speech /= rms
+    return AudioBuffer(speech, fs)

@@ -277,6 +277,22 @@ def test_enhance_peak_memory_does_not_grow_with_input_length():
     assert peaks[1] - peaks[0] < 50 * 2**20, [p / 2**20 for p in peaks]
 
 
+def test_enhance_working_set_is_under_one_and_a_half_blocks_of_stacks():
+    # one block's noisy and clean stacks: 2 x 5 shifts x 512 frames x 512
+    # bins of complex128; a block's spectrograms kept alive through the next
+    # block's clean stack and beamformer call held 1.74 of them
+    stacks = 2 * 5 * 512 * 512 * 16
+    mix, speech = _mixture(32.0, seed=74)
+    enhance_buffer(mix, FIVE_SHIFTS, clean=speech)  # first-call setup stays out
+    tracemalloc.start()
+    try:
+        out = enhance_buffer(mix, FIVE_SHIFTS, clean=speech).enhanced
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.samples.nbytes <= 1.55 * stacks, (peak - out.samples.nbytes) / stacks
+
+
 def test_oracle_mask_requires_reference(speech_4s):
     with pytest.raises(ValueError, match="reference"):
         enhance_buffer(speech_4s, PipelineConfig(preproc="id", mask="oracle-irm"))

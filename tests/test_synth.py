@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
+import cyclospeech.synth
 from cyclospeech import (
     AudioBuffer,
     HarmonicNoiseParams,
@@ -162,3 +166,120 @@ NAN = float("nan")
 def test_non_finite_or_unknown_synth_parameters_refused(build, name):
     with pytest.raises(ValueError, match=name):
         build()
+
+
+def _whole_signal_lowpass(rng, n, fs, cutoff):
+    white = rng.standard_normal(n)
+    spec = np.fft.rfft(white)
+    spec *= np.exp(-0.5 * (np.fft.rfftfreq(n, 1.0 / fs) / cutoff) ** 2)
+    g = np.fft.irfft(spec, n)
+    return g / g.std()
+
+
+def _whole_signal_noise(duration, fs, params):
+    """The harmonic noise, one signal-length array per step."""
+    n = round(duration * fs)
+    rng = np.random.default_rng(params.seed)
+    shared = _whole_signal_lowpass(rng, n, fs, params.envelope_rate)
+    t = np.arange(n) / fs
+    v = np.zeros(n)
+    for p in range(1, params.num_harmonics + 1):
+        own = _whole_signal_lowpass(rng, n, fs, params.envelope_rate)
+        envelope = np.sqrt(params.correlation) * shared + np.sqrt(1.0 - params.correlation) * own
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        amp = p ** (-params.amplitude_decay)
+        v += amp * envelope * np.cos(2.0 * np.pi * p * params.f0 * t + phase)
+    return v / np.sqrt(np.mean(v**2))
+
+
+def _whole_signal_speech(duration, fs, seed):
+    """The speech-like signal, one signal-length array per step."""
+    n = round(duration * fs)
+    rng = np.random.default_rng(seed)
+    f0_base = rng.uniform(150.0, 240.0)
+    contour = f0_base * (1.0 + 0.08 * _whole_signal_lowpass(rng, n, fs, 2.0))
+    contour = np.clip(contour, 80.0, 400.0)
+    inst_phase = 2.0 * np.pi * np.cumsum(contour) / fs
+    source = np.zeros(n)
+    for p in range(1, max(2, int((0.95 * fs / 2) / contour.max())) + 1):
+        source += (p**-1.0) * np.cos(p * inst_phase + rng.uniform(0, 2 * np.pi))
+    voiced = source
+    for lo, hi in ((300.0, 800.0), (900.0, 2200.0), (2300.0, 3000.0)):
+        a = [1.0, -2.0 * 0.97 * np.cos(2.0 * np.pi * rng.uniform(lo, hi) / fs), 0.97 * 0.97]
+        voiced = voiced + 1.5 * lfilter([1.0 - 0.97], a, source)
+    voiced /= np.max(np.abs(voiced))
+    syllabic = np.maximum(0.5 * _whole_signal_lowpass(rng, n, fs, 4.0) + 0.6, 0.08)
+    spec = np.fft.rfft(rng.standard_normal(n))
+    spec *= np.exp(-0.5 * ((np.fft.rfftfreq(n, 1.0 / fs) - 3500.0) / 1200.0) ** 2)
+    frication = np.fft.irfft(spec, n)
+    frication /= np.max(np.abs(frication))
+    fric_env = np.maximum(_whole_signal_lowpass(rng, n, fs, 3.0) - 0.2, 0.0)
+    speech = voiced * syllabic + 0.4 * frication * fric_env
+    gate = np.zeros(n)
+    pos = 0
+    while pos < n:
+        phrase = int(rng.uniform(0.8, 1.4) * fs)
+        gap = int(rng.uniform(0.15, 0.3) * fs)
+        gate[pos : min(pos + phrase, n)] = 1.0
+        pos = min(pos + phrase, n) + gap
+    kernel = np.hanning(2 * int(0.01 * fs) + 1)
+    gate = np.convolve(gate, kernel / kernel.sum(), mode="same")
+    speech *= gate
+    return 0.1 * speech / np.sqrt(np.mean(speech[gate > 0.5] ** 2))
+
+
+NOISE_PARAMS = (
+    HarmonicNoiseParams(f0=97.0, seed=3),
+    HarmonicNoiseParams(
+        f0=60.0, num_harmonics=3, correlation=0.0, envelope_rate=2.0, amplitude_decay=0.0, seed=4
+    ),
+)
+
+
+@pytest.mark.parametrize("fs, seconds", [(8000, 2.9), (16000, 2.3), (44100, 1.1)])
+def test_generators_equal_their_whole_signal_references(fs, seconds):
+    # every length exceeds the default chunk, so the chunked loops run
+    got = synth_speech_like(seconds, fs, seed=2).samples
+    assert np.array_equal(got, _whole_signal_speech(seconds, fs, 2))
+    for params in NOISE_PARAMS:
+        got = synth_harmonic_cs_noise(seconds, fs, params).samples
+        assert np.array_equal(got, _whole_signal_noise(seconds, fs, params)), params
+
+
+def _generate(fs, n):
+    return (
+        synth_speech_like(n / fs, fs, seed=6).samples,
+        synth_harmonic_cs_noise(n / fs, fs, HarmonicNoiseParams(f0=97.0, seed=7)).samples,
+    )
+
+
+@pytest.mark.parametrize("fs", (8000, 16000, 44100))
+def test_output_does_not_depend_on_the_chunk_length(fs, monkeypatch):
+    # 4803 samples (2402 rfft bins): a multiple of none of the chunks
+    n = 4803
+    ref = _generate(fs, n)
+    for chunk in (1, 7, 4096, n + 1):
+        monkeypatch.setattr(cyclospeech.synth, "_CHUNK", chunk)
+        for got, want in zip(_generate(fs, n), ref):
+            assert len(got) == n
+            assert np.array_equal(got, want), chunk
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda seconds: synth_speech_like(seconds, FS, seed=8),
+        lambda seconds: synth_harmonic_cs_noise(seconds, FS, HarmonicNoiseParams(f0=97.0, seed=9)),
+    ],
+    ids=("speech", "noise"),
+)
+def test_generator_working_memory_is_a_few_outputs(generate):
+    # whole-signal temporaries held 14x (speech) and 9.5x (noise) the output
+    generate(0.5)  # first-call imports stay out
+    tracemalloc.start()
+    try:
+        out = generate(20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * out.samples.nbytes, peak / out.samples.nbytes

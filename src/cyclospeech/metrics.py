@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .stft import AudioBuffer, periodic_hann
+from .stft import AudioBuffer, _overlap_add, periodic_hann
 
 __all__ = [
     "MetricRecord",
@@ -63,24 +63,36 @@ class MetricRecord:
 
 def _checked_pair(
     estimate: AudioBuffer, reference: AudioBuffer
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The real parts of two equal-length, finite signals and the reference's
-    energy, which must not be zero."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The real parts of two equal-length, finite signals; the reference
+    must not be all zero."""
     e = np.real(estimate.samples)
     r = np.real(reference.samples)
     if e.shape != r.shape:
         raise ValueError(f"length mismatch: {e.shape[0]} vs {r.shape[0]}")
     estimate.require_finite("estimate")
     reference.require_finite("reference")
-    r_energy = float(np.dot(r, r))
-    if r_energy == 0.0:
+    if not r.any():
         raise ValueError("reference signal has zero energy")
-    return e, r, r_energy
+    return e, r
+
+
+def _peak_normalized(x: np.ndarray) -> np.ndarray:
+    """``x`` divided by the power of two of its peak, which is exact: the
+    peak lands in [0.5, 1), far from over- and underflow."""
+    _, exponent = np.frexp(np.max(np.abs(x)))
+    return np.ldexp(x, -exponent)
 
 
 def si_sdr(estimate: AudioBuffer, reference: AudioBuffer) -> float:
-    """Scale-invariant signal-to-distortion ratio in dB, capped at +100 dB."""
-    e, r, r_energy = _checked_pair(estimate, reference)
+    """Scale-invariant signal-to-distortion ratio in dB, capped at +100 dB.
+
+    Each input is first divided by the power of two of its own peak, which
+    is exact, so the energies neither over- nor underflow and a pair scores
+    the same, bit for bit, at any power-of-two scale that keeps it normal.
+    """
+    e, r = map(_peak_normalized, _checked_pair(estimate, reference))
+    r_energy = float(np.dot(r, r))
     target = (np.dot(e, r) / r_energy) * r
     target_energy = float(np.dot(target, target))
     residual = e - target
@@ -105,22 +117,17 @@ def _frame(x: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
 
 def _remove_silent_frames(
     x: np.ndarray, y: np.ndarray, window: np.ndarray, hop: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Drop frames where the reference is more than 40 dB below its loudest
-    frame, and overlap-add the survivors back to signals."""
+    frame, and overlap-add the survivors back to signals: the rows of the result."""
     xf = _frame(x, window, hop)
     yf = _frame(y, window, hop)
     energies = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + np.finfo(float).eps)
     keep = energies > energies.max() - _STOI_VAD_RANGE_DB
-    xf, yf = xf[keep], yf[keep]
-    n_out = (len(xf) - 1) * hop + len(window)
-    x_out = np.zeros(n_out)
-    y_out = np.zeros(n_out)
-    for i in range(len(xf)):
-        start = i * hop
-        x_out[start : start + len(window)] += xf[i]
-        y_out[start : start + len(window)] += yf[i]
-    return x_out, y_out
+    out = np.zeros((2, (np.count_nonzero(keep) - 1) * hop + len(window)))
+    _overlap_add(xf[keep], hop, out[0], 0)
+    _overlap_add(yf[keep], hop, out[1], 0)
+    return out
 
 
 def stoi(estimate: AudioBuffer, reference: AudioBuffer) -> float:
@@ -132,7 +139,10 @@ def stoi(estimate: AudioBuffer, reference: AudioBuffer) -> float:
     384 ms segments with per-segment normalization and clipping, and the
     band/segment correlations are averaged.
     """
-    e, r, _ = _checked_pair(estimate, reference)
+    e, r = _checked_pair(estimate, reference)
+    if not np.dot(r, r):
+        # STOI's absolute eps terms cannot score a reference this quiet
+        raise ValueError("reference signal has zero energy")
     fs = reference.sample_rate
     if estimate.sample_rate != fs:
         raise ValueError("sample-rate mismatch between estimate and reference")
@@ -160,24 +170,23 @@ def stoi(estimate: AudioBuffer, reference: AudioBuffer) -> float:
     x_env = np.sqrt(bands.astype(float) @ (np.abs(rf.T) ** 2))
     y_env = np.sqrt(bands.astype(float) @ (np.abs(ef.T) ** 2))
 
-    n = _STOI_SEG_FRAMES
+    # every 384 ms segment at once, as contiguous (segments, bands, frames) copies:
+    # each last-axis sum then adds as on one segment's (bands, frames) slice
+    windows = (sliding_window_view(env.T, _STOI_SEG_FRAMES, axis=0) for env in (x_env, y_env))
+    x, y = map(np.ascontiguousarray, windows)
     # -15 dB lower SDR bound: normalized estimate may exceed the clean
     # envelope by at most 1 + 10^(15/20)
     clip_factor = 1.0 + 10.0 ** (-_STOI_CLIP_DB / 20.0)
     eps = np.finfo(float).eps
-    scores = []
-    for m in range(n, x_env.shape[1] + 1):
-        x_seg = x_env[:, m - n : m]
-        y_seg = y_env[:, m - n : m]
-        alpha = np.linalg.norm(x_seg, axis=1, keepdims=True) / (
-            np.linalg.norm(y_seg, axis=1, keepdims=True) + eps
-        )
-        y_seg = np.minimum(alpha * y_seg, clip_factor * x_seg)
-        xc = x_seg - x_seg.mean(axis=1, keepdims=True)
-        yc = y_seg - y_seg.mean(axis=1, keepdims=True)
-        denom = np.linalg.norm(xc, axis=1) * np.linalg.norm(yc, axis=1) + eps
-        scores.append(np.sum(xc * yc, axis=1) / denom)
-    return float(np.mean(scores))
+    y *= np.linalg.norm(x, axis=-1, keepdims=True) / (
+        np.linalg.norm(y, axis=-1, keepdims=True) + eps
+    )
+    np.minimum(y, clip_factor * x, out=y)
+    x -= x.mean(axis=-1, keepdims=True)
+    y -= y.mean(axis=-1, keepdims=True)
+    denom = np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1) + eps
+    # (segments, bands) correlations, averaged in segment-major order
+    return float(np.mean(np.sum(x * y, axis=-1) / denom))
 
 
 def _group_means(records: list[MetricRecord], key, names: tuple) -> list[dict]:

@@ -250,8 +250,14 @@ def istft(spec: ComplexSpectrogram, out: np.ndarray, first_frame: int = 0) -> No
     frames *= cfg.synthesis_window
     if not np.iscomplexobj(out):
         frames = frames.real
-    begin = first_frame * cfg.hop - cfg.pad  # where the first frame starts
-    for i, frame in enumerate(frames):
-        start = begin + i * cfg.hop
-        lo, hi = max(start, 0), min(start + cfg.frame_len, len(out))
-        out[lo:hi] += frame[lo - start : hi - start]
+    _overlap_add(frames, cfg.hop, out, first_frame * cfg.hop - cfg.pad)
+
+
+def _overlap_add(frames: np.ndarray, hop: int, out: np.ndarray, begin: int) -> None:
+    """Add frame i of ``frames`` (L x r*hop) into ``out`` at ``begin + i*hop``, clipped,
+    by r hop-wide slice-adds, the last first: each sample sums its frames in frame order."""
+    for q in reversed(range(frames.shape[1] // hop)):
+        start = begin + q * hop
+        lo, hi = max(start, 0), min(start + len(frames) * hop, len(out))
+        if lo < hi:
+            out[lo:hi] += frames[:, q * hop : (q + 1) * hop].reshape(-1)[lo - start : hi - start]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,10 @@ from cyclospeech import (
     mix_at_snr,
     si_sdr,
     stoi,
+    synth_speech_like,
 )
+from cyclospeech import metrics
+from cyclospeech.stft import periodic_hann
 from cyclospeech.metrics import write_records_csv, write_table_csv
 
 FS = 16000
@@ -57,6 +62,20 @@ def test_si_sdr_matches_lstsq_oracle():
         assert abs(got - expected) <= 1e-9
 
 
+@pytest.mark.parametrize("k_est, k_ref", [(-600, -600), (900, 900), (-600, 900), (900, -600)])
+def test_si_sdr_exact_at_extreme_power_of_two_scales(speech_4s, k_est, k_ref):
+    # a reference scaled by 2^-600 once had "zero energy", one scaled by
+    # 2^900 overflowed; a power of two scales every sample exactly
+    noise = AudioBuffer(np.random.default_rng(8).standard_normal(len(speech_4s)), FS)
+    mixture, _ = mix_at_snr(speech_4s, noise, MixSpec(snr_db=-5.0))
+    base = si_sdr(mixture, speech_4s)
+    scaled = si_sdr(
+        AudioBuffer(np.ldexp(mixture.samples, k_est), FS),
+        AudioBuffer(np.ldexp(speech_4s.samples, k_ref), FS),
+    )
+    assert scaled == base
+
+
 def test_si_sdr_rejects_degenerate():
     x = AudioBuffer(np.ones(100), FS)
     with pytest.raises(ValueError, match="zero energy"):
@@ -83,6 +102,69 @@ def test_stoi_rejects_degenerate(speech_4s):
         stoi(speech_4s, AudioBuffer(speech_4s.samples[:-1], FS))
     with pytest.raises(ValueError, match="sample-rate mismatch"):
         stoi(speech_4s, AudioBuffer(speech_4s.samples, 2 * FS))
+
+
+def _loop_stoi(estimate, reference):
+    """Reference STOI: overlap-add and segment scoring one frame and one
+    segment at a time. Returns the score and the number of frames the
+    silent-frame removal dropped."""
+    e, r = np.real(estimate.samples), np.real(reference.samples)
+    fs = reference.sample_rate
+    if fs != metrics._STOI_FS:
+        from scipy.signal import resample_poly
+
+        g = math.gcd(fs, metrics._STOI_FS)
+        e = resample_poly(e, metrics._STOI_FS // g, fs // g)
+        r = resample_poly(r, metrics._STOI_FS // g, fs // g)
+    hop = metrics._STOI_HOP
+    window = periodic_hann(metrics._STOI_FRAME)
+    xf, yf = metrics._frame(r, window, hop), metrics._frame(e, window, hop)
+    energies = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + np.finfo(float).eps)
+    keep = energies > energies.max() - metrics._STOI_VAD_RANGE_DB
+    xf, yf = xf[keep], yf[keep]
+    r = np.zeros((len(xf) - 1) * hop + len(window))
+    e = np.zeros_like(r)
+    for i in range(len(xf)):
+        r[i * hop : i * hop + len(window)] += xf[i]
+        e[i * hop : i * hop + len(window)] += yf[i]
+
+    nfft = metrics._STOI_NFFT
+    rf = np.fft.rfft(metrics._frame(r, window, hop), n=nfft, axis=1)
+    ef = np.fft.rfft(metrics._frame(e, window, hop), n=nfft, axis=1)
+    bands = metrics._third_octave_bands(nfft, metrics._STOI_FS).astype(float)
+    x_env = np.sqrt(bands @ (np.abs(rf.T) ** 2))
+    y_env = np.sqrt(bands @ (np.abs(ef.T) ** 2))
+    n = metrics._STOI_SEG_FRAMES
+    clip_factor = 1.0 + 10.0 ** (-metrics._STOI_CLIP_DB / 20.0)
+    eps = np.finfo(float).eps
+    scores = []
+    for m in range(n, x_env.shape[1] + 1):
+        x_seg = x_env[:, m - n : m]
+        y_seg = y_env[:, m - n : m]
+        alpha = np.linalg.norm(x_seg, axis=1, keepdims=True) / (
+            np.linalg.norm(y_seg, axis=1, keepdims=True) + eps
+        )
+        y_seg = np.minimum(alpha * y_seg, clip_factor * x_seg)
+        xc = x_seg - x_seg.mean(axis=1, keepdims=True)
+        yc = y_seg - y_seg.mean(axis=1, keepdims=True)
+        denom = np.linalg.norm(xc, axis=1) * np.linalg.norm(yc, axis=1) + eps
+        scores.append(np.sum(xc * yc, axis=1) / denom)
+    return float(np.mean(scores)), int(np.count_nonzero(~keep))
+
+
+@pytest.mark.parametrize("fs", [8000, 16000, 22050, 44100])
+def test_stoi_matches_per_frame_and_per_segment_loops(fs):
+    clean = synth_speech_like(3.0, fs, seed=fs)
+    # a 0.6 s pause in the reference makes the 40 dB VAD drop frames
+    samples = clean.samples.copy()
+    samples[fs : fs + 3 * fs // 5] *= 1e-4
+    clean = AudioBuffer(samples, fs)
+    noise = AudioBuffer(np.random.default_rng(fs).standard_normal(len(clean)), fs)
+    for snr_db in (-10.0, 5.0):
+        mixture, _ = mix_at_snr(clean, noise, MixSpec(snr_db=snr_db))
+        expected, dropped = _loop_stoi(mixture, clean)
+        assert dropped > 0
+        assert stoi(mixture, clean) == expected
 
 
 def test_stoi_self_scores_near_one(speech_4s):

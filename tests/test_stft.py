@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclospeech import AudioBuffer, ComplexSpectrogram, StftConfig, istft, stft
-from cyclospeech.stft import _frame_signal
+from cyclospeech.stft import _frame_signal, _overlap_add
 
 FS = 16000
 
@@ -257,3 +257,49 @@ def test_require_finite_names_first_bad_sample():
         AudioBuffer(x, FS).require_finite("input")
     with pytest.raises(ValueError, match="index 3"):
         AudioBuffer(np.array([0, 1, 2, np.nan * 1j]), FS).require_finite()
+
+
+def _loop_overlap_add(frames, hop, out, begin):
+    """Reference overlap-add: one frame at a time, in frame order."""
+    for i, frame in enumerate(frames):
+        start = begin + i * hop
+        lo, hi = max(start, 0), min(start + frames.shape[1], len(out))
+        if lo < hi:
+            out[lo:hi] += frame[lo - start : hi - start]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hop=st.integers(1, 64),
+    hops_per_frame=st.sampled_from([1, 2, 4]),
+    count=st.integers(1, 40),
+    length=st.integers(1, 600),
+    lead=st.integers(-300, 700),
+    is_complex=st.booleans(),
+    blocks=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_overlap_add_matches_per_frame_loop(
+    hop, hops_per_frame, count, length, lead, is_complex, blocks, seed
+):
+    # frames may start before sample 0 and past the end; magnitudes spread
+    # over 16 decades, so a sum in any other order would change bits
+    rng = np.random.default_rng(seed)
+    shape = (count, hops_per_frame * hop)
+    frames = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    initial = rng.standard_normal(length)
+    if is_complex:
+        frames = frames + 1j * rng.standard_normal(shape)
+        initial = initial + 1j * rng.standard_normal(length)
+    begin = lead - shape[1]
+    expected = initial.copy()
+    _loop_overlap_add(frames, hop, expected, begin)
+    # one call on all frames, and calls on consecutive blocks of them
+    whole = initial.copy()
+    _overlap_add(frames, hop, whole, begin)
+    assert np.array_equal(whole, expected)
+    blocked = initial.copy()
+    bounds = np.cumsum([0, *blocks, count]).clip(max=count)
+    for first, stop in zip(bounds[:-1], bounds[1:]):
+        _overlap_add(frames[first:stop], hop, blocked, begin + first * hop)
+    assert np.array_equal(blocked, expected)

@@ -43,8 +43,12 @@ _STOI_NFFT = 512
 _STOI_NUM_BANDS = 15
 _STOI_LOWEST_CF = 150.0
 _STOI_SEG_FRAMES = 30  # 384 ms at 12.8 ms per hop
+_STOI_SEG_BLOCK = 256  # segments scored at once; any value gives the same score
 _STOI_CLIP_DB = -15.0
 _STOI_VAD_RANGE_DB = 40.0
+# Products held at once by the resampler, per buffer; any value gives the
+# same samples.
+_RESAMPLE_BLOCK = 1 << 16
 
 
 @dataclass
@@ -130,6 +134,72 @@ def _remove_silent_frames(
     return out
 
 
+def _kaiser_lowpass(numtaps: int, cutoff: float) -> np.ndarray:
+    """``scipy.signal.firwin(numtaps, cutoff, window=("kaiser", 5.0))``, in
+    its operation order: a windowed sinc scaled to unit DC gain."""
+    from scipy.special import i0
+
+    m = np.arange(0, numtaps, dtype=np.float64) - 0.5 * (numtaps - 1)
+    h = 0 + cutoff * np.sinc(cutoff * m)
+    n = np.arange(0, numtaps, dtype=np.float64)
+    alpha = (numtaps - 1) / 2.0
+    h *= i0(5.0 * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)) / i0(np.float64(5.0))
+    h /= np.sum(h)
+    return h
+
+
+def _resample_poly(signals, up: int, down: int) -> list[np.ndarray]:
+    """Each of ``signals`` (equal lengths) resampled by ``up / down``, coprime:
+    ``scipy.signal.resample_poly(x, up, down)`` to the last bit.
+
+    The filter is scipy's (``firwin`` with a Kaiser window, beta 5, and
+    10 * max(up, down) taps either side), padded and split into ``up``
+    polyphase branches as ``upfirdn`` splits it. Output ``i`` is a sum over
+    ``taps`` consecutive input samples, accumulated from the oldest sample on
+    as ``upfirdn`` accumulates it: ``np.add.reduce`` over the leading axis of
+    a C-contiguous (taps, outputs) product adds its rows in order, for two or
+    more outputs (a single column it would sum pairwise).
+    """
+    n_in = len(signals[0])
+    n_out = -(-n_in * up // down)
+    half_len = 10 * max(up, down)
+    h = _kaiser_lowpass(2 * half_len + 1, 1.0 / max(up, down))
+    h *= up
+    n_pre_pad = down - half_len % down
+    taps = -(-(n_pre_pad + len(h)) // up)
+    h_full = np.zeros(taps * up)
+    h_full[n_pre_pad : n_pre_pad + len(h)] = h
+    # outputs as (rows, up): output i = up * row + r reads
+    # x[down * row + base[r] - taps + 1 :][:taps] through branch phase[r]
+    rows = max(2, -(-n_out // up))
+    first = (half_len + n_pre_pad) // down  # upfirdn's outputs before ours
+    base, phase = np.divmod((first + np.arange(up)) * down, up)
+    coef = h_full.reshape(taps, up)[::-1, phase].T.copy()[:, :, None]  # oldest first
+    span = int(base[-1]) + taps  # one row reads x_pad[down * row :][:span]
+    blocks = -(-span // down)
+    step = max(2, _RESAMPLE_BLOCK // taps)  # rows per product buffer
+    cols = np.empty((blocks * down, min(rows, step)))
+    prod = np.empty((taps, min(rows, step)))
+    results = []
+    for x in signals:
+        x_pad = np.zeros(down * (rows + blocks))
+        x_pad[taps - 1 : taps - 1 + n_in] = x
+        # branches[c, m] = x_pad[c + down * m]
+        branches = np.ascontiguousarray(x_pad.reshape(-1, down).T)
+        del x_pad
+        out = np.empty((up, rows))
+        for lo in range(0, rows, step):
+            lo = min(lo, rows - 2)  # a last block of one row redoes the row before
+            n = min(step, rows - lo)
+            for q in range(blocks):  # cols[c, j] = x_pad[c + down * (lo + j)]
+                cols[q * down : (q + 1) * down, :n] = branches[:, lo + q : lo + q + n]
+            for r in range(up):
+                np.multiply(cols[base[r] : base[r] + taps, :n], coef[r], out=prod[:, :n])
+                np.add.reduce(prod[:, :n], axis=0, out=out[r, lo : lo + n])
+        results.append(out.T.ravel()[:n_out])
+    return results
+
+
 def stoi(estimate: AudioBuffer, reference: AudioBuffer) -> float:
     """Short-time objective intelligibility of the estimate given the clean
     reference.
@@ -147,11 +217,8 @@ def stoi(estimate: AudioBuffer, reference: AudioBuffer) -> float:
     if estimate.sample_rate != fs:
         raise ValueError("sample-rate mismatch between estimate and reference")
     if fs != _STOI_FS:
-        from scipy.signal import resample_poly
-
         g = math.gcd(fs, _STOI_FS)
-        e = resample_poly(e, _STOI_FS // g, fs // g)
-        r = resample_poly(r, _STOI_FS // g, fs // g)
+        e, r = _resample_poly((e, r), _STOI_FS // g, fs // g)
 
     min_samples = (_STOI_SEG_FRAMES - 1) * _STOI_HOP + _STOI_FRAME
     if len(r) < min_samples:
@@ -163,17 +230,35 @@ def stoi(estimate: AudioBuffer, reference: AudioBuffer) -> float:
     if len(r) < min_samples:
         raise ValueError("less than one 384 ms segment of active signal")
 
-    rf = np.fft.rfft(_frame(r, window, _STOI_HOP), n=_STOI_NFFT, axis=1)
-    ef = np.fft.rfft(_frame(e, window, _STOI_HOP), n=_STOI_NFFT, axis=1)
-    bands = _third_octave_bands(_STOI_NFFT, _STOI_FS)
+    bands = _third_octave_bands(_STOI_NFFT, _STOI_FS).astype(float)
     # band envelopes, shape (bands, frames)
-    x_env = np.sqrt(bands.astype(float) @ (np.abs(rf.T) ** 2))
-    y_env = np.sqrt(bands.astype(float) @ (np.abs(ef.T) ** 2))
+    x_env, y_env = (_band_envelopes(s, window, bands) for s in (r, e))
 
-    # every 384 ms segment at once, as contiguous (segments, bands, frames) copies:
-    # each last-axis sum then adds as on one segment's (bands, frames) slice
-    windows = (sliding_window_view(env.T, _STOI_SEG_FRAMES, axis=0) for env in (x_env, y_env))
-    x, y = map(np.ascontiguousarray, windows)
+    # (segments, bands) correlations, averaged in segment-major order; each
+    # block of segments is scored on contiguous (segments, bands, frames)
+    # copies, so each last-axis sum adds as on one segment's (bands, frames)
+    # slice, and no copy outgrows a block
+    x_segs, y_segs = (
+        sliding_window_view(env.T, _STOI_SEG_FRAMES, axis=0) for env in (x_env, y_env)
+    )
+    corr = np.empty(x_segs.shape[:2])
+    for lo in range(0, len(corr), _STOI_SEG_BLOCK):
+        hi = lo + _STOI_SEG_BLOCK
+        corr[lo:hi] = _segment_correlations(x_segs[lo:hi], y_segs[lo:hi])
+    return float(np.mean(corr))
+
+
+def _band_envelopes(x: np.ndarray, window: np.ndarray, bands: np.ndarray) -> np.ndarray:
+    """The (bands, frames) one-third-octave band magnitudes of ``x``."""
+    power = np.abs(np.fft.rfft(_frame(x, window, _STOI_HOP), n=_STOI_NFFT, axis=1).T)
+    power **= 2
+    return np.sqrt(bands @ power)
+
+
+def _segment_correlations(x_segs: np.ndarray, y_segs: np.ndarray) -> np.ndarray:
+    """Per-segment, per-band correlations of clean ``x`` and clipped,
+    normalized ``y`` envelopes, (segments, bands, frames) windows each."""
+    x, y = map(np.ascontiguousarray, (x_segs, y_segs))
     # -15 dB lower SDR bound: normalized estimate may exceed the clean
     # envelope by at most 1 + 10^(15/20)
     clip_factor = 1.0 + 10.0 ** (-_STOI_CLIP_DB / 20.0)
@@ -185,8 +270,7 @@ def stoi(estimate: AudioBuffer, reference: AudioBuffer) -> float:
     x -= x.mean(axis=-1, keepdims=True)
     y -= y.mean(axis=-1, keepdims=True)
     denom = np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1) + eps
-    # (segments, bands) correlations, averaged in segment-major order
-    return float(np.mean(np.sum(x * y, axis=-1) / denom))
+    return np.sum(x * y, axis=-1) / denom
 
 
 def _group_means(records: list[MetricRecord], key, names: tuple) -> list[dict]:

@@ -31,6 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .modulation import ModulationSet, modulate
 from .stft import AudioBuffer, StftConfig, stft
@@ -52,10 +53,8 @@ COHERENCE_BIN_FRACTION = 0.10
 # Hard cap on candidates scored per recording; candidates are kept by merged
 # peak-power weight.
 MAX_CANDIDATES = 64
-# Periodogram peaks must stand this far above the median PSD, and this many
-# Welch bins apart.
+# Periodogram peaks must stand this far above the median PSD.
 PEAK_THRESHOLD_DB = 10.0
-PEAK_MIN_SEPARATION_BINS = 2
 # Shortest recording the estimator accepts.
 MIN_DURATION_SEC = 2.0
 # Relative distance from the refinement spectrum's peak within which points
@@ -135,23 +134,29 @@ def welch_periodogram(
         )
     if not 0.0 <= overlap < 1.0:
         raise ValueError("overlap must lie in [0, 1)")
-    from scipy.signal import welch
+    from scipy.fft import rfft
 
-    freqs, psd = welch(
-        np.real(signal.samples),
-        fs=signal.sample_rate,
-        window="hann",
-        nperseg=seg_len,
-        noverlap=int(seg_len * overlap),
-        detrend=False,
-    )
-    return freqs, psd
+    fs = signal.sample_rate
+    noverlap = int(seg_len * overlap)
+    hop = seg_len - noverlap
+    # scipy.signal.welch's arithmetic, step for step, so the PSD is the same
+    # to the last bit: its periodic Hann, scaled by 1 / sqrt(sum(w^2) * fs)
+    # with the squares summed in order; the mean over segments taken on a
+    # C-contiguous (bins, segments) array
+    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, seg_len + 1))[:-1]
+    window *= 1 / np.sqrt(sum(window**2) / (1 / fs))
+    count = (len(signal) - noverlap) // hop
+    segments = sliding_window_view(np.real(signal.samples), seg_len)[: count * hop : hop]
+    spec = rfft(segments * window, axis=-1)
+    power = np.ascontiguousarray((spec.real**2 + spec.imag**2).T)
+    power[1 : -1 if seg_len % 2 == 0 else None] *= 2  # the one-sided fold
+    return np.fft.rfftfreq(seg_len, 1 / fs), power.mean(axis=-1)
 
 
 def pick_peaks(freqs: np.ndarray, psd: np.ndarray, max_peaks: int = PEAK_COUNT) -> PeakList:
-    """Local PSD maxima at least ``PEAK_THRESHOLD_DB`` above the median and
-    ``PEAK_MIN_SEPARATION_BINS`` apart, strongest ``max_peaks`` kept,
-    returned frequency-sorted."""
+    """Local PSD maxima at least ``PEAK_THRESHOLD_DB`` above the median,
+    strongest ``max_peaks`` kept, returned frequency-sorted: the peaks of
+    ``scipy.signal.find_peaks`` with that height and a distance of 2 bins."""
     if max_peaks < 1:
         raise ValueError("max_peaks must be at least 1")
     freqs = np.asarray(freqs, dtype=np.float64)
@@ -160,9 +165,16 @@ def pick_peaks(freqs: np.ndarray, psd: np.ndarray, max_peaks: int = PEAK_COUNT) 
     floor = float(np.median(psd)) * 10.0 ** (PEAK_THRESHOLD_DB / 10.0)
     if floor <= 0.0:
         return PeakList(np.empty(0), np.empty(0), resolution)
-    from scipy.signal import find_peaks
-
-    idx, _ = find_peaks(psd, height=floor, distance=PEAK_MIN_SEPARATION_BINS)
+    # local maxima: runs of equal values above both neighbours, at the run's
+    # (lower) midpoint; two such are always at least two bins apart
+    starts = np.flatnonzero(np.concatenate(([True], psd[1:] != psd[:-1])))
+    ends = np.append(starts[1:], len(psd)) - 1
+    inner = (starts > 0) & (ends < len(psd) - 1)
+    starts, ends = starts[inner], ends[inner]
+    rising = psd[starts - 1] < psd[starts]
+    falling = psd[ends + 1] < psd[ends]
+    idx = (starts + ends)[rising & falling] // 2
+    idx = idx[psd[idx] >= floor]
     if len(idx) > max_peaks:
         idx = idx[np.argsort(psd[idx])[::-1][:max_peaks]]
         idx = np.sort(idx)
@@ -301,7 +313,7 @@ class _ShiftSearch:
     """
 
     def __init__(self, n_frames: int, cfg: StftConfig, search_hz: float):
-        from scipy.signal import ZoomFFT
+        from scipy.fft import fft, next_fast_len
 
         frame_rate = cfg.sample_rate / cfg.hop
         nfft = 1
@@ -314,7 +326,26 @@ class _ShiftSearch:
         width = int(signed.max()) - lo + 1
         self.deltas = deltas[picked]
         self._order = signed - lo
-        self._zoom = ZoomFFT(n_frames, [lo, lo + width], width, fs=nfft)
+        # the chirp-z plan of scipy.signal.ZoomFFT(n_frames, [lo, lo + width],
+        # width, fs=nfft), built with its expressions so its values are
+        # ZoomFFT's to the last bit: points lo, lo + 1, ... of the nfft grid
+        n, m = n_frames, width
+        k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
+        wk2 = np.exp(-(1j * np.pi * (width / nfft) * k**2) / m)
+        self._awk2 = np.exp(-2j * np.pi * lo / nfft * k[:n]) * wk2[:n]
+        self._nfft = next_fast_len(n + m - 1)
+        self._fwk2 = fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), self._nfft)
+        self._wk2 = wk2[:m]
+        self._points = slice(n - 1, n + m - 1)
+
+    def _chirp_z(self, products: np.ndarray) -> np.ndarray:
+        """The (points, bins) chirp-z transform of the columns of
+        ``products``, in ZoomFFT's operation and memory order."""
+        from scipy.fft import fft, ifft
+
+        x = products.T
+        y = ifft(self._fwk2 * fft(x * self._awk2, self._nfft))
+        return (y[..., self._points] * self._wk2).T
 
     def best_offset(self, products: np.ndarray) -> float:
         """Offset in Hz of the peak of the summed magnitude spectra of the
@@ -324,7 +355,7 @@ class _ShiftSearch:
         first in fftfreq order wins: where the full padded FFT ties exactly
         (a zero or flat spectrum) the chirp-z values differ by rounding only.
         """
-        spectrum = np.abs(self._zoom(products, axis=0)).sum(axis=1)[self._order]
+        spectrum = np.abs(self._chirp_z(products)).sum(axis=1)[self._order]
         tied = spectrum >= spectrum.max() * (1.0 - SHIFT_TIE_RTOL)
         return float(self.deltas[np.argmax(tied)])
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,21 @@ def test_stoi_matches_per_frame_and_per_segment_loops(fs):
         expected, dropped = _loop_stoi(mixture, clean)
         assert dropped > 0
         assert stoi(mixture, clean) == expected
+
+
+def test_stoi_working_memory_is_bounded():
+    # segments scored all at once held 81.6 MiB here, one at a time 47.5 MiB
+    clean = synth_speech_like(60.0, FS, seed=9)
+    noise = AudioBuffer(np.random.default_rng(9).standard_normal(len(clean)), FS)
+    mixture, _ = mix_at_snr(clean, noise, MixSpec(snr_db=0.0))
+    stoi(AudioBuffer(mixture.samples[: 4 * FS], FS), AudioBuffer(clean.samples[: 4 * FS], FS))
+    tracemalloc.start()
+    try:
+        stoi(mixture, clean)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50 * 2**20, peak / 2**20
 
 
 def test_stoi_self_scores_near_one(speech_4s):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.signal import lfilter
 
 import cyclospeech.synth
@@ -203,10 +204,22 @@ def _whole_signal_speech(duration, fs, seed):
     source = np.zeros(n)
     for p in range(1, max(2, int((0.95 * fs / 2) / contour.max())) + 1):
         source += (p**-1.0) * np.cos(p * inst_phase + rng.uniform(0, 2 * np.pi))
-    voiced = source
-    for lo, hi in ((300.0, 800.0), (900.0, 2200.0), (2300.0, 3000.0)):
-        a = [1.0, -2.0 * 0.97 * np.cos(2.0 * np.pi * rng.uniform(lo, hi) / fs), 0.97 * 0.97]
-        voiced = voiced + 1.5 * lfilter([1.0 - 0.97], a, source)
+    # the three formant resonators, applied on the whole zero-padded spectrum
+    freqs = [rng.uniform(lo, hi) for lo, hi in ((300.0, 800.0), (900.0, 2200.0), (2300.0, 3000.0))]
+    nfft = next_fast_len(n + 2048)
+    theta = np.arange(nfft // 2 + 1) * (2.0 * np.pi / nfft)
+    c1, s1 = np.cos(theta), np.sin(theta)
+    g_re, g_im = np.zeros_like(theta), np.zeros_like(theta)
+    for f in freqs:
+        a1 = -2.0 * 0.97 * np.cos(2.0 * np.pi * f / fs)
+        dr = 1.0 + a1 * c1 + 0.97 * 0.97 * (c1 * c1 - s1 * s1)
+        di = a1 * s1 + 0.97 * 0.97 * (2.0 * (s1 * c1))
+        w = (1.0 - 0.97) / (dr * dr + di * di)
+        g_re, g_im = g_re + dr * w, g_im + di * w
+    spec = np.fft.rfft(source, nfft)
+    m_re, m_im = 1.0 + 1.5 * g_re, 1.5 * g_im
+    spec.real, spec.imag = spec.real * m_re - spec.imag * m_im, spec.real * m_im + spec.imag * m_re
+    voiced = np.fft.irfft(spec, nfft)[:n]
     voiced /= np.max(np.abs(voiced))
     syllabic = np.maximum(0.5 * _whole_signal_lowpass(rng, n, fs, 4.0) + 0.6, 0.08)
     spec = np.fft.rfft(rng.standard_normal(n))

@@ -33,8 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .modulation import ModulationSet, modulate
+from .modulation import ModulationSet
 from .stft import AudioBuffer, StftConfig, stft
+
+# Unused here; the traced benchmark wraps this module attribute.
+from .modulation import modulate  # noqa: F401
 
 __all__ = [
     "PeakList",
@@ -125,7 +128,9 @@ def welch_periodogram(
 
     Grid resolution is sample_rate / seg_len; ``seg_len`` must be at least 2,
     so the grid has the two points ``pick_peaks`` reads its step from.
+    Raises ``ValueError`` on a NaN or infinite sample, naming its index.
     """
+    signal.require_finite()
     if seg_len < 2:
         raise ValueError(f"seg_len must be >= 2, got {seg_len}")
     if len(signal) < seg_len:
@@ -156,11 +161,17 @@ def welch_periodogram(
 def pick_peaks(freqs: np.ndarray, psd: np.ndarray, max_peaks: int = PEAK_COUNT) -> PeakList:
     """Local PSD maxima at least ``PEAK_THRESHOLD_DB`` above the median,
     strongest ``max_peaks`` kept, returned frequency-sorted: the peaks of
-    ``scipy.signal.find_peaks`` with that height and a distance of 2 bins."""
+    ``scipy.signal.find_peaks`` with that height and a distance of 2 bins.
+    ``freqs`` and ``psd`` are 1-D, of one length of at least 2 points."""
     if max_peaks < 1:
         raise ValueError("max_peaks must be at least 1")
     freqs = np.asarray(freqs, dtype=np.float64)
     psd = np.asarray(psd, dtype=np.float64)
+    if freqs.ndim != 1 or freqs.shape != psd.shape or len(freqs) < 2:
+        raise ValueError(
+            f"freqs and psd must be 1-D grids of one length of at least 2 "
+            f"points, got shapes {freqs.shape} and {psd.shape}"
+        )
     resolution = float(freqs[1] - freqs[0])
     floor = float(np.median(psd)) * 10.0 ** (PEAK_THRESHOLD_DB / 10.0)
     if floor <= 0.0:
@@ -372,7 +383,7 @@ def _refine_shift(
     """Correct a coarse candidate shift by the rotation frequency of the
     per-frame cross products, searched over ``search``'s window. ``out`` is
     an STFT buffer (see ``stft``), free again on return."""
-    shifted = stft(modulate(signal, alpha), cfg, out=out).data
+    shifted = stft(signal, cfg, out=out, shift=alpha).data
     top, _ = _top_support_bins(e_base, _bin_energy(shifted))
     # rotates at (true - alpha) Hz
     products = base[:, top] * np.conj(shifted[:, top])
@@ -424,11 +435,11 @@ def estimate_modulation_set_detailed(
     (``eval``'s pool workers use their share of them); the set and every
     report are the same for any thread count.
 
-    Raises ``ValueError`` on a NaN or infinite sample, naming its index, and
-    on a recording shorter than ``MIN_DURATION_SEC`` (2 s). On
-    any longer input the worst case is the trivial set ``{0}``.
+    Raises ``ValueError`` on a recording shorter than ``MIN_DURATION_SEC``
+    (2 s), and through ``welch_periodogram`` on a NaN or infinite sample,
+    naming its index. On any longer input the worst case is the trivial set
+    ``{0}``.
     """
-    signal.require_finite()
     if signal.duration < MIN_DURATION_SEC:
         raise ValueError(
             f"recording of {signal.duration:.2f} s is shorter than the "
@@ -455,7 +466,7 @@ def estimate_modulation_set_detailed(
             refined = _refine_shift(base, e_base, signal, cand, cfg, search, out)
             if not 0.0 < refined < signal.sample_rate / 2:
                 refined = cand
-            shifted = stft(modulate(signal, refined), cfg, out=out).data
+            shifted = stft(signal, cfg, out=out, shift=refined).data
             coh = _coherence_between(base, e_base, shifted)
             accepted = coh >= coherence_threshold and refined >= min_shift_hz
             return CoherenceReport(refined, coh, accepted, coarse_hz=cand)

@@ -1,9 +1,10 @@
-"""Frequency shifting by time-domain complex modulation, applied before STFT
-analysis so that off-grid shifts are realized exactly.
+"""The channel stack of frequency-shifted signal copies, each shift applied
+by the analysis window inside ``stft`` so that off-grid shifts are realized
+exactly.
 
-Sign convention: ``modulate(x, alpha)`` multiplies by exp(+j*2*pi*alpha*n/fs),
-so content originally at frequency f appears at f + alpha, and bin k of the
-modulated spectrogram reads the input spectrum at (bin k) - alpha.
+Sign convention: a shift alpha analyses x * exp(+j*2*pi*alpha*n/fs), so
+content originally at frequency f appears at f + alpha, and bin k of the
+shifted spectrogram reads the input spectrum at (bin k) - alpha.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stft import AudioBuffer, StftConfig, stft
+from .stft import AudioBuffer, StftConfig, _check_shift, _phasor, stft
 
 __all__ = ["ModulationSet", "AugmentedSpectrogram", "modulate", "build_augmented"]
 
@@ -40,54 +41,15 @@ class ModulationSet:
 
     def validate_for_rate(self, sample_rate: int) -> None:
         for s in self.shifts:
-            if abs(s) >= sample_rate / 2:
-                raise ValueError(
-                    f"shift {s} Hz is not below the Nyquist frequency "
-                    f"{sample_rate / 2} Hz"
-                )
+            _check_shift(s, sample_rate)
 
 
-# Samples per block of the two-level rotator in ``modulate``.
-ROTATOR_BLOCK = 1024
-
-
-def modulate(signal: AudioBuffer, alpha: float, start: int = 0) -> AudioBuffer:
-    """Multiply by a complex exponential of frequency ``alpha`` Hz.
-
-    The rotator exp(j*2*pi*alpha*n/fs) is built without a full-length
-    ``exp``: sample n = b*B + j gets exp(j*theta(b*B)) * exp(j*theta(j)), one
-    short ``exp`` per block start and one over the B in-block offsets
-    (B = ``ROTATOR_BLOCK``), joined by an outer product. alpha = 0 is
-    bit-exact (every factor is exactly 1). Otherwise each sample is within
-    8*eps*(1 + 2*pi*|alpha|*n/fs) of the direct full-length form; that form
-    itself carries the phase rounding eps*2*pi*|alpha|*n/fs, so the two
-    agree to the accuracy either has.
-
-    ``signal`` may be a segment of a longer signal that starts at its sample
-    ``start``: n is then the index in the longer signal, and the segment
-    gets the same bits as that signal's modulation has there.
-    """
-    alpha = float(alpha)
-    fs = signal.sample_rate
-    if abs(alpha) >= fs / 2:
-        raise ValueError(
-            f"shift {alpha} Hz is not below the Nyquist frequency {fs / 2} Hz"
-        )
-    n = len(signal)
-    first = start // ROTATOR_BLOCK  # block holding the segment's first sample
-    starts = np.arange(first, -(-(start + n) // ROTATOR_BLOCK)) * ROTATOR_BLOCK
-    # offsets past the segment's last sample are never read
-    block = max(1, min(ROTATOR_BLOCK, start + n - first * ROTATOR_BLOCK))
-    rotator = np.empty((len(starts), block), dtype=np.complex128)
-    np.multiply.outer(
-        np.exp(2j * np.pi * alpha * starts / fs),
-        np.exp(2j * np.pi * alpha * np.arange(block) / fs),
-        out=rotator,
-    )
-    skip = start - first * ROTATOR_BLOCK
-    rotator = rotator.reshape(-1)[skip : skip + n]
-    rotator *= signal.samples
-    return AudioBuffer(rotator, fs)
+def modulate(signal: AudioBuffer, alpha: float) -> AudioBuffer:
+    """Multiply by exp(+j*2*pi*alpha*n/fs), the direct form: the product
+    that ``stft(signal, cfg, shift=alpha)`` analyses without forming."""
+    alpha = _check_shift(alpha, signal.sample_rate)
+    n = np.arange(len(signal))
+    return AudioBuffer(signal.samples * _phasor(alpha, n, signal.sample_rate), signal.sample_rate)
 
 
 @dataclass(eq=False)
@@ -123,26 +85,18 @@ def build_augmented(
     frames: tuple[int, int] | None = None,
     out: np.ndarray | None = None,
 ) -> AugmentedSpectrogram:
-    """Stack the STFTs of modulated signal copies, one channel per shift.
+    """Stack the STFTs of shifted signal copies, one channel per shift.
 
-    With ``frames=(first, stop)`` only those frames are built: each shift
-    modulates just the samples they read, at their index in ``signal``, and
-    the stack equals the same frames of the whole-signal stack bit for bit.
-    The (C, L, K) stack is allocated once, or is ``out``, a (C, L, K)
-    complex128 array, and each channel's FFT is computed in its slot.
+    With ``frames=(first, stop)`` only those frames are built, and the stack
+    equals the same frames of the whole-signal stack bit for bit. The
+    (C, L, K) stack is allocated once, or is ``out``, a (C, L, K) complex128
+    array, and each channel's FFT is computed in its slot.
     """
-    modset.validate_for_rate(signal.sample_rate)
-    n = len(signal)
-    first, stop = (0, cfg.num_frames(n)) if frames is None else frames
-    lo, hi = cfg.frame_span(first, stop, n)
-    segment = AudioBuffer(signal.samples[lo:hi], signal.sample_rate)
+    first, stop = (0, cfg.num_frames(len(signal))) if frames is None else frames
     shape = (len(modset), stop - first, cfg.fft_size)
     stack = np.empty(shape, dtype=np.complex128) if out is None else out
     if stack.shape != shape or stack.dtype != np.complex128:
         raise ValueError(f"out must be a {shape} complex128 array")
     for slot, alpha in zip(stack, modset.shifts):
-        # the zero shift modulates bit-exactly to a complex copy, so channel 0
-        # is the plain STFT without numpy casting a real frame matrix to
-        # complex next to the stack
-        stft(modulate(segment, alpha, start=lo), cfg, frames=(first, stop), out=slot)
+        stft(signal, cfg, (first, stop), out=slot, shift=alpha)
     return AugmentedSpectrogram(channels=stack, modset=modset, config=cfg)

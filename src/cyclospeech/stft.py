@@ -141,12 +141,6 @@ class StftConfig:
             raise ValueError("num_samples must be positive")
         return -(-(num_samples + self.pad) // self.hop)
 
-    def frame_span(self, first: int, stop: int, num_samples: int) -> tuple[int, int]:
-        """The samples [lo, hi) of a ``num_samples``-long signal that frames
-        ``first``..``stop - 1`` of its STFT read; frame l reads samples
-        l*hop - pad .. l*hop + hop - 1, zero outside the signal."""
-        return max(first * self.hop - self.pad, 0), min(stop * self.hop, num_samples)
-
 
 @dataclass(eq=False)
 class ComplexSpectrogram:
@@ -175,21 +169,39 @@ class ComplexSpectrogram:
         return self.data.shape
 
 
+def _check_shift(shift: float, sample_rate: int) -> float:
+    """``shift`` in Hz as a float; ``ValueError`` unless it is finite and
+    below the Nyquist frequency in magnitude."""
+    shift = float(shift)
+    if not abs(shift) < sample_rate / 2:  # NaN compares False too
+        raise ValueError(
+            f"shift {shift} Hz is not a finite frequency below the Nyquist "
+            f"frequency {sample_rate / 2} Hz"
+        )
+    return shift
+
+
+def _phasor(shift: float, n: np.ndarray, sample_rate: int) -> np.ndarray:
+    """exp(+j*2*pi*shift*n/fs) at the sample indices ``n``."""
+    return np.exp(2j * np.pi * shift * n / sample_rate)
+
+
 def _frame_signal(
     x: np.ndarray, cfg: StftConfig, first: int = 0, count: int | None = None
 ) -> np.ndarray:
-    """Zero-pad the signal and view it as overlapping frames (L x frame_len).
+    """View ``count`` frames of the zero-padded signal from frame ``first``
+    on (count x frame_len); by default every frame.
 
-    With ``first``, ``x`` holds the samples that frames ``first``.. read (see
-    ``StftConfig.frame_span``) and ``count`` frames are framed. The result is
-    a read-only strided view of the padded copy, not a gather.
+    The result is a read-only strided view of a zero-padded copy of just the
+    samples those frames read, not a gather.
     """
     if count is None:
         count = cfg.num_frames(x.shape[0])
     begin = first * cfg.hop - cfg.pad  # sample index of the first frame's start
     padded = np.zeros((count - 1) * cfg.hop + cfg.frame_len, dtype=x.dtype)
-    lead = max(-begin, 0)
-    padded[lead : lead + x.shape[0]] = x
+    lo, hi = max(begin, 0), min(begin + len(padded), x.shape[0])
+    if lo < hi:
+        padded[lo - begin : hi - begin] = x[lo:hi]
     return sliding_window_view(padded, cfg.frame_len)[:: cfg.hop]
 
 
@@ -198,16 +210,22 @@ def stft(
     cfg: StftConfig,
     frames: tuple[int, int] | None = None,
     out: np.ndarray | None = None,
+    shift: float = 0.0,
 ) -> ComplexSpectrogram:
     """Analyze a (possibly complex) signal into a two-sided complex spectrogram.
 
-    Row l is the windowed FFT of the padded signal starting at l*hop.
-    With ``frames=(first, stop)`` only those rows are computed, and
-    ``signal`` holds just the samples they read, ``cfg.frame_span(first,
-    stop, n)`` of the n-sample signal; the rows equal the same rows of the
-    whole signal's STFT bit for bit. ``out``, a (frames, fft_size)
-    complex128 array, receives the FFTs and becomes the result's ``data``.
-    Deterministic for fixed input.
+    Row l is the windowed FFT of the padded signal starting at sample
+    s_l = l*hop - pad. With ``frames=(first, stop)`` only those rows of the
+    whole signal's STFT are computed; each row is computed from its own
+    samples and index alone, so it equals the same row of the whole STFT bit
+    for bit. ``out``, a (frames, fft_size) complex128 array, receives the
+    FFTs and becomes the result's ``data``. Deterministic for fixed input.
+
+    ``shift`` (Hz, finite, below Nyquist in magnitude) analyses
+    signal * exp(+j*2*pi*shift*n/fs) without forming that product: each frame
+    is windowed by window * exp(+j*2*pi*shift*m/fs), m = 0..frame_len - 1,
+    and row l is multiplied by exp(+j*2*pi*shift*s_l/fs) after its FFT.
+    Content at f then appears at f + shift. The zero shift is the plain STFT.
     """
     if len(signal) == 0:
         raise ValueError("cannot analyze an empty signal")
@@ -216,21 +234,31 @@ def stft(
             f"signal sample rate {signal.sample_rate} does not match "
             f"config sample rate {cfg.sample_rate}"
         )
+    shift = _check_shift(shift, cfg.sample_rate)
     if frames is None:
         first, count = 0, cfg.num_frames(len(signal))
     else:
         first, count = frames[0], frames[1] - frames[0]
-        if first < 0 or count <= 0:
-            raise ValueError(f"frame range {frames} is empty or negative")
+        if first < 0 or count <= 0 or frames[1] > cfg.num_frames(len(signal)):
+            raise ValueError(
+                f"frame range {frames} is empty or outside the signal's "
+                f"{cfg.num_frames(len(signal))} frames"
+            )
     # window into one buffer with a zero tail and transform it in place: a
     # single allocation for the whole spectrogram
     buf = np.empty((count, cfg.fft_size), dtype=np.complex128) if out is None else out
     if buf.shape != (count, cfg.fft_size) or buf.dtype != np.complex128:
         raise ValueError(f"out must be a ({count}, {cfg.fft_size}) complex128 array")
+    window = cfg.window
+    if shift:
+        window = window * _phasor(shift, np.arange(cfg.frame_len), cfg.sample_rate)
     frame_view = _frame_signal(signal.samples, cfg, first, count)
-    np.multiply(frame_view, cfg.window, out=buf[:, : cfg.frame_len])
+    np.multiply(frame_view, window, out=buf[:, : cfg.frame_len])
     buf[:, cfg.frame_len :] = 0.0
     np.fft.fft(buf, axis=1, out=buf)
+    if shift:
+        starts = np.arange(first, first + count) * cfg.hop - cfg.pad
+        buf *= _phasor(shift, starts, cfg.sample_rate)[:, None]
     return ComplexSpectrogram(data=buf, config=cfg)
 
 

@@ -7,7 +7,6 @@ from cyclospeech import (
     HarmonicNoiseParams,
     StftConfig,
     cmpdr_process,
-    modulate,
     stft,
     synth_harmonic_cs_noise,
     synth_speech_like,
@@ -80,7 +79,7 @@ def _spectral_coherence(signal, alpha, cfg):
     """The estimator's coherence score of ``signal`` against its copy
     shifted by ``alpha`` Hz (the unshifted spectrogram itself at 0 Hz)."""
     base = stft(signal, cfg).data
-    shifted = base if alpha == 0.0 else stft(modulate(signal, alpha), cfg).data
+    shifted = base if alpha == 0.0 else stft(signal, cfg, shift=alpha).data
     return modset._coherence_between(base, modset._bin_energy(base), shifted)
 
 

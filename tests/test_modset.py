@@ -27,7 +27,6 @@ from cyclospeech.modset import (
     _ShiftSearch,
     _top_support_bins,
 )
-from cyclospeech.modulation import modulate
 from cyclospeech.stft import stft
 
 FS = 16000
@@ -96,6 +95,29 @@ def test_pick_peaks_flat_spectrum_empty():
     freqs = np.arange(100) * 2.0
     peaks = pick_peaks(freqs, np.ones(100))
     assert len(peaks) == 0
+
+
+def test_welch_refuses_non_finite_sample():
+    # one NaN would turn every PSD bin NaN, which pick_peaks reads as no peaks
+    samples = np.zeros(FS)
+    samples[700] = np.nan
+    with pytest.raises(ValueError, match="non-finite sample .* at index 700"):
+        welch_periodogram(AudioBuffer(samples, FS))
+
+
+@pytest.mark.parametrize(
+    "freqs, psd",
+    [
+        (np.array([0.0]), np.array([1.0])),  # a 1-point grid has no step
+        (np.arange(10) * 2.0, np.r_[np.ones(11), 100.0, np.ones(3)]),  # peak past the grid
+        (np.arange(15) * 2.0, np.r_[np.ones(5), 100.0, np.ones(4)]),  # freqs longer
+        (np.arange(10) * 2.0, np.ones((10, 1))),  # not 1-D
+    ],
+    ids=("one-point", "psd-longer", "freqs-longer", "2-d"),
+)
+def test_pick_peaks_refuses_mismatched_grids(freqs, psd):
+    with pytest.raises(ValueError, match="one length"):
+        pick_peaks(freqs, psd)
 
 
 def test_pick_peaks_harmonic_series():
@@ -274,13 +296,15 @@ def _white_noise():
 def test_reports_do_not_depend_on_the_thread_budget(cfg16k, monkeypatch, make):
     signal, kwargs = make()
     callers = set()
-    modulate_in_module = modset_module.modulate
+    stft_in_module = modset_module.stft
 
-    def recording_modulate(*args, **kw):
+    def recording_stft(*args, **kw):
+        # the calling thread analyses the base and scores a share itself, so
+        # the callers are the scoring threads
         callers.add(threading.get_ident())
-        return modulate_in_module(*args, **kw)
+        return stft_in_module(*args, **kw)
 
-    monkeypatch.setattr(modset_module, "modulate", recording_modulate)
+    monkeypatch.setattr(modset_module, "stft", recording_stft)
     outcomes = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # interleave the threads as finely as possible
@@ -349,7 +373,7 @@ def test_refined_shift_matches_full_grid(cfg16k, f0, miss, duration, seed):
     search = _ShiftSearch(base.shape[0], cfg16k, WELCH_RES)
     refined = _refine_shift(base, e_base, noise, alpha, cfg16k, search)
 
-    shifted = stft(modulate(noise, alpha), cfg16k).data
+    shifted = stft(noise, cfg16k, shift=alpha).data
     top, _ = _top_support_bins(e_base, _bin_energy(shifted))
     products = base[:, top] * np.conj(shifted[:, top])
     assert refined == alpha + _full_grid_offset(products, cfg16k, WELCH_RES)

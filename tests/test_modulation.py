@@ -60,23 +60,35 @@ def test_modulation_preserves_magnitude():
     assert np.allclose(np.abs(y.samples), np.abs(x.samples), atol=1e-12)
 
 
-def test_shift_beyond_nyquist_rejected():
+def test_shift_beyond_nyquist_rejected(cfg16k):
     x = AudioBuffer(np.ones(100), FS)
-    with pytest.raises(ValueError, match="Nyquist"):
-        modulate(x, 8000.0)
-    with pytest.raises(ValueError, match="Nyquist"):
-        modulate(x, -8123.0)
+    for shift in (8000.0, -8123.0):
+        with pytest.raises(ValueError, match="Nyquist"):
+            modulate(x, shift)
+        with pytest.raises(ValueError, match="Nyquist"):
+            stft(x, cfg16k, shift=shift)
+
+
+@pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+def test_non_finite_shift_refused(cfg16k, shift):
+    # NaN fails every comparison, so a bare |shift| >= fs/2 check lets it by
+    x = AudioBuffer(np.ones(100), FS)
+    with pytest.raises(ValueError, match="not a finite frequency"):
+        modulate(x, shift)
+    with pytest.raises(ValueError, match="not a finite frequency"):
+        stft(x, cfg16k, shift=shift)
 
 
 def test_off_grid_shift_matches_directly_synthesized_tone(cfg16k):
-    # modulating a tone must equal synthesizing the shifted tone directly
+    # analysing a tone shifted by the window must equal the STFT of the
+    # shifted tone synthesized directly
     n = np.arange(4000)
     f1, alpha = 1000.0, 73.3  # alpha far from any multiple of fs/K = 31.25
     tone = AudioBuffer(np.exp(2j * np.pi * f1 * n / FS), FS)
     shifted_tone = AudioBuffer(np.exp(2j * np.pi * (f1 + alpha) * n / FS), FS)
-    via_mod = stft(modulate(tone, alpha), cfg16k).data
+    via_shift = stft(tone, cfg16k, shift=alpha).data
     direct = stft(shifted_tone, cfg16k).data
-    assert np.abs(via_mod - direct).max() <= 1e-9 * np.abs(direct).max()
+    assert np.abs(via_shift - direct).max() <= 1e-9 * np.abs(direct).max()
 
 
 def test_energy_preserved_per_channel(cfg16k):
@@ -89,8 +101,8 @@ def test_energy_preserved_per_channel(cfg16k):
 
 
 def test_channel_zero_bit_identical():
-    # and every other channel is the STFT of its own modulated copy, bit for
-    # bit, at each rate: the stack only moves the FFT output into its slot
+    # and every other channel is the shifted STFT bit for bit, within the
+    # stated bound of the STFT of the directly modulated copy, at each rate
     rng = np.random.default_rng(3)
     for fs in (8000, 11025, 16000, 44100, 48000):
         cfg = StftConfig(fs)
@@ -99,7 +111,9 @@ def test_channel_zero_bit_identical():
         aug = build_augmented(sig, modset, cfg)
         assert np.array_equal(aug.channels[0], stft(sig, cfg).data)
         for c, alpha in enumerate(modset.shifts[1:], start=1):
-            assert np.array_equal(aug.channels[c], stft(modulate(sig, alpha), cfg).data)
+            assert np.array_equal(aug.channels[c], stft(sig, cfg, shift=alpha).data)
+            direct = stft(modulate(sig, alpha), cfg).data
+            assert np.abs(aug.channels[c] - direct).max() <= _direct_form_bound(sig, alpha, cfg)
 
 
 def test_build_augmented_peak_memory():
@@ -187,27 +201,29 @@ def test_on_grid_shift_rolls_magnitudes(cfg16k):
     assert np.abs(mag1 - np.roll(mag0, g, axis=1)).max() <= 1e-9 * mag0.max()
 
 
-def _direct_modulate(x, alpha, fs):
-    """Reference: the full-length complex exponential."""
-    n = np.arange(len(x))
-    return x * np.exp(2j * np.pi * alpha * n / fs)
+def _direct_form_bound(sig, alpha, cfg):
+    """The stated bound on |stft(sig, shift=alpha) - stft(modulate(sig, alpha))|:
+    FFT rounding, plus the rounding of the phase 2*pi*alpha*n/fs, which both
+    forms carry, at sample indices up to the signal's length plus a frame."""
+    phase = 2 * np.pi * abs(alpha) * (len(sig) + cfg.frame_len) / cfg.sample_rate
+    scale = np.linalg.norm(cfg.window) * np.abs(sig.samples).max()
+    return np.finfo(float).eps * (4 + phase) * scale
 
 
-_lengths = st.sampled_from([1, 2, 1023, 1024, 1025, 2047, 2049, 3 * 1024 + 1]) | st.integers(
-    1, 40000
-)
+_lengths = st.sampled_from([1, 2]) | st.integers(1, 40000)
 
 
 @settings(max_examples=80, deadline=None)
 @given(
+    fs=st.sampled_from([8000, 11025, 16000, 22050, 44100, 48000]) | st.integers(8000, 48000),
     length=_lengths,
-    fs=st.sampled_from([8000, 16000, 44100]),
     frac=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
     | st.sampled_from([-1.0, 1.0]).map(lambda s: s * np.nextafter(1.0, 0.0)),
     is_complex=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
 )
-def test_block_rotator_within_bound_of_direct_form(length, fs, frac, is_complex, seed):
+def test_shifted_stft_rows_and_direct_form(fs, length, frac, is_complex, seed, data):
     alpha = frac * fs / 2  # negative shifts and shifts next to Nyquist included
     if abs(alpha) >= fs / 2:
         alpha = np.nextafter(fs / 2, 0.0) * np.sign(alpha)
@@ -215,11 +231,21 @@ def test_block_rotator_within_bound_of_direct_form(length, fs, frac, is_complex,
     x = rng.standard_normal(length)
     if is_complex:
         x = x + 1j * rng.standard_normal(length)
-    y = modulate(AudioBuffer(x, fs), alpha).samples
-    assert y.shape == x.shape and y.dtype == np.complex128
-    n = np.arange(length)
-    bound = 8 * np.finfo(float).eps * (1 + 2 * np.pi * abs(alpha) * n / fs) * np.abs(x)
-    assert np.all(np.abs(y - _direct_modulate(x, alpha, fs)) <= bound)
+    sig, cfg = AudioBuffer(x, fs), StftConfig(fs)
+    whole = stft(sig, cfg, shift=alpha).data
+    # every frame range reads the same rows: consecutive blocks, a single
+    # frame and a range drawn anywhere
+    total = whole.shape[0]
+    block = data.draw(st.integers(1, total), label="block")
+    ranges = [(first, min(first + block, total)) for first in range(0, total, block)]
+    one = data.draw(st.integers(0, total - 1), label="one")
+    first = data.draw(st.integers(0, total - 1), label="first")
+    ranges += [(one, one + 1), (first, data.draw(st.integers(first + 1, total), label="stop"))]
+    for first, stop in ranges:
+        part = stft(sig, cfg, frames=(first, stop), shift=alpha).data
+        assert np.array_equal(part, whole[first:stop]), (first, stop)
+    direct = stft(modulate(sig, alpha), cfg).data
+    assert np.abs(whole - direct).max() <= _direct_form_bound(sig, alpha, cfg)
 
 
 @settings(max_examples=30, deadline=None)
@@ -230,7 +256,6 @@ def test_zero_shift_bit_exact_at_any_length(length, is_complex, seed):
     if is_complex:
         x = x + 1j * rng.standard_normal(length)
     y = modulate(AudioBuffer(x, FS), 0.0).samples
-    assert np.array_equal(y, _direct_modulate(x, 0.0, FS))
     assert np.array_equal(y, x.astype(complex))
 
 

@@ -144,6 +144,13 @@ def test_empty_signal_rejected(cfg16k):
         stft(AudioBuffer(np.zeros(0), FS), cfg16k)
 
 
+@pytest.mark.parametrize("frames", [(3, 3), (-1, 2), (0, 8), (7, 8)])
+def test_frame_range_outside_the_signal_refused(cfg16k, frames):
+    # 500 samples make 7 frames; rows past them would be silent zeros
+    with pytest.raises(ValueError, match="empty or outside the signal's 7 frames"):
+        stft(AudioBuffer(np.ones(500), FS), cfg16k, frames=frames)
+
+
 def test_sample_rate_mismatch_rejected(cfg16k):
     with pytest.raises(ValueError, match="sample rate"):
         stft(AudioBuffer(np.zeros(1000), 8000), cfg16k)

@@ -78,22 +78,32 @@ def min_stats_noise_psd(
             f"recording of {total} frames is shorter than the "
             f"{_MS_WINDOW_SEC} s minimum-tracking window ({win_frames} frames)"
         )
-    from scipy.ndimage import minimum_filter1d
-
     tail = None if state is None else state.tail
     block = _smoothed_power(noisy.data, None if tail is None else tail[-1])
     smoothed = block if tail is None else np.concatenate([tail, block])
-    # trailing minimum: nearest-edge padding only ever repeats the first
-    # frame, which is already inside every early window
-    floor = minimum_filter1d(
-        smoothed, size=win_frames, axis=0, mode="nearest",
-        origin=(win_frames - 1) // 2,
-    )
+    floor = _trailing_min(smoothed, win_frames, noisy.num_frames)
     if state is not None:
         # the next block's minimum reads up to win_frames - 1 frames back,
         # and its recursion continues from the last one
         state.tail = smoothed[-max(win_frames - 1, 1) :].copy()
-    return _MS_BIAS * floor[floor.shape[0] - noisy.num_frames :], block
+    return _MS_BIAS * floor, block
+
+
+def _trailing_min(x: np.ndarray, width: int, count: int) -> np.ndarray:
+    """The minimum over each of the last ``count`` rows of ``x`` and the
+    ``width - 1`` rows before it, rows before the first read as the first.
+
+    Minima of 2, 4, 8, ... rows are formed by doubling, and a window of any
+    width is the minimum of two overlapping power-of-two windows. A minimum
+    never rounds, so this equals any other exact sliding minimum.
+    """
+    lead = len(x) - count - (width - 1)  # the first row the windows read
+    m = x[lead:] if lead >= 0 else np.concatenate([np.repeat(x[:1], -lead, axis=0), x])
+    span = 1
+    while 2 * span <= width:
+        m = np.minimum(m[:-span], m[span:])
+        span *= 2
+    return np.minimum(m[:count], m[width - span : width - span + count])
 
 
 def wiener_gain(smoothed: np.ndarray, noise_psd: np.ndarray) -> np.ndarray:

@@ -238,16 +238,6 @@ def eval_dataset(
 
     pool_size = min(workers, len(tasks))
     if pool_size > 1:
-        # Forked workers inherit the modules loaded here: load scipy.fft
-        # (Welch, chirp-z), scipy.special (STOI's resampling filter),
-        # scipy.ndimage (the Wiener noise tracker) and scipy.io.wavfile (WAV
-        # I/O), which the library imports on first use, once, not per worker.
-        # The library never loads scipy.signal.
-        import scipy.fft  # noqa: F401
-        import scipy.io.wavfile  # noqa: F401
-        import scipy.ndimage  # noqa: F401
-        import scipy.special  # noqa: F401
-
         with ProcessPoolExecutor(
             max_workers=pool_size,
             initializer=modset._set_thread_budget,

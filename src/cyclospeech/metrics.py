@@ -49,6 +49,20 @@ _STOI_VAD_RANGE_DB = 40.0
 # Products held at once by the resampler, per buffer; any value gives the
 # same samples.
 _RESAMPLE_BLOCK = 1 << 16
+# Chebyshev coefficients of exp(-x) I0(x) on [0, 8] in x / 2 - 2, from
+# cephes' i0.c (S. L. Moshier), the series scipy.special.i0 evaluates there.
+_I0_CHEB = (
+    -4.41534164647933937950e-18, 3.33079451882223809783e-17, -2.43127984654795469359e-16,
+    1.71539128555513303061e-15, -1.16853328779934516808e-14, 7.67618549860493561688e-14,
+    -4.85644678311192946090e-13, 2.95505266312963983461e-12, -1.72682629144155570723e-11,
+    9.67580903537323691224e-11, -5.18979560163526290666e-10, 2.65982372468238665035e-9,
+    -1.30002500998624804212e-8, 6.04699502254191894932e-8, -2.67079385394061173391e-7,
+    1.11738753912010371815e-6, -4.41673835845875056359e-6, 1.64484480707288970893e-5,
+    -5.75419501008210370398e-5, 1.88502885095841655729e-4, -5.76375574538582365885e-4,
+    1.63947561694133579842e-3, -4.32430999505057594430e-3, 1.05464603945949983183e-2,
+    -2.37374148058994688156e-2, 4.93052842396707084878e-2, -9.49010970480476444210e-2,
+    1.71620901522208775349e-1, -3.04682672343198398683e-1, 6.76795274409476084995e-1,
+)
 
 
 @dataclass
@@ -134,16 +148,26 @@ def _remove_silent_frames(
     return out
 
 
+def _i0(x: np.ndarray) -> np.ndarray:
+    """The modified Bessel function I0 at each 0 <= x <= 8, as cephes'
+    ``i0`` (so ``scipy.special.i0``) computes it, to the last bit: the
+    Chebyshev recurrence in cephes' operation order, times ``math.exp``.
+    (``np.i0`` sums another series and differs in the last bit.)"""
+    y = x / 2.0 - 2.0
+    b0, b1 = np.full_like(y, _I0_CHEB[0]), np.zeros_like(y)
+    for c in _I0_CHEB[1:]:
+        b0, b1, b2 = y * b0 - b1 + c, b0, b1
+    return np.array([math.exp(v) for v in x]) * (0.5 * (b0 - b2))
+
+
 def _kaiser_lowpass(numtaps: int, cutoff: float) -> np.ndarray:
     """``scipy.signal.firwin(numtaps, cutoff, window=("kaiser", 5.0))``, in
     its operation order: a windowed sinc scaled to unit DC gain."""
-    from scipy.special import i0
-
     m = np.arange(0, numtaps, dtype=np.float64) - 0.5 * (numtaps - 1)
     h = 0 + cutoff * np.sinc(cutoff * m)
     n = np.arange(0, numtaps, dtype=np.float64)
     alpha = (numtaps - 1) / 2.0
-    h *= i0(5.0 * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)) / i0(np.float64(5.0))
+    h *= _i0(5.0 * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)) / _i0(np.array([5.0]))
     h /= np.sum(h)
     return h
 

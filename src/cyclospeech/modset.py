@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .modulation import ModulationSet
-from .stft import AudioBuffer, StftConfig, stft
+from .stft import AudioBuffer, StftConfig, next_fast_len, stft
 
 # Unused here; the traced benchmark wraps this module attribute.
 from .modulation import modulate  # noqa: F401
@@ -139,8 +139,6 @@ def welch_periodogram(
         )
     if not 0.0 <= overlap < 1.0:
         raise ValueError("overlap must lie in [0, 1)")
-    from scipy.fft import rfft
-
     fs = signal.sample_rate
     noverlap = int(seg_len * overlap)
     hop = seg_len - noverlap
@@ -152,17 +150,22 @@ def welch_periodogram(
     window *= 1 / np.sqrt(sum(window**2) / (1 / fs))
     count = (len(signal) - noverlap) // hop
     segments = sliding_window_view(np.real(signal.samples), seg_len)[: count * hop : hop]
-    spec = rfft(segments * window, axis=-1)
+    spec = np.fft.rfft(segments * window, axis=-1)
     power = np.ascontiguousarray((spec.real**2 + spec.imag**2).T)
     power[1 : -1 if seg_len % 2 == 0 else None] *= 2  # the one-sided fold
     return np.fft.rfftfreq(seg_len, 1 / fs), power.mean(axis=-1)
 
 
 def pick_peaks(freqs: np.ndarray, psd: np.ndarray, max_peaks: int = PEAK_COUNT) -> PeakList:
-    """Local PSD maxima at least ``PEAK_THRESHOLD_DB`` above the median,
-    strongest ``max_peaks`` kept, returned frequency-sorted: the peaks of
-    ``scipy.signal.find_peaks`` with that height and a distance of 2 bins.
-    ``freqs`` and ``psd`` are 1-D, of one length of at least 2 points."""
+    """Local PSD maxima at least ``PEAK_THRESHOLD_DB`` above the median and
+    above the PSD's rounding level, strongest ``max_peaks`` kept, returned
+    frequency-sorted: the peaks of ``scipy.signal.find_peaks`` with that
+    height and a distance of 2 bins. ``freqs`` and ``psd`` are 1-D, of one
+    length of at least 2 points.
+
+    The rounding level is the PSD's maximum times its length times the
+    machine epsilon. A noise-free input (a constant, a pure tone) has a
+    median made of rounding noise, and would otherwise find peaks in it."""
     if max_peaks < 1:
         raise ValueError("max_peaks must be at least 1")
     freqs = np.asarray(freqs, dtype=np.float64)
@@ -173,7 +176,10 @@ def pick_peaks(freqs: np.ndarray, psd: np.ndarray, max_peaks: int = PEAK_COUNT) 
             f"points, got shapes {freqs.shape} and {psd.shape}"
         )
     resolution = float(freqs[1] - freqs[0])
-    floor = float(np.median(psd)) * 10.0 ** (PEAK_THRESHOLD_DB / 10.0)
+    floor = max(
+        float(np.median(psd)) * 10.0 ** (PEAK_THRESHOLD_DB / 10.0),
+        float(psd.max()) * len(psd) * np.finfo(np.float64).eps,
+    )
     if floor <= 0.0:
         return PeakList(np.empty(0), np.empty(0), resolution)
     # local maxima: runs of equal values above both neighbours, at the run's
@@ -199,15 +205,20 @@ def candidate_modulations(peaks: PeakList) -> list[float]:
     power-weighted mean (weight = geometric mean of the pair powers). When
     more than ``MAX_CANDIDATES`` survive, the heaviest are kept. Returned
     ascending.
+
+    The weights are formed on the powers divided by an even power of two
+    near their maximum. That is exact, so it changes no merged frequency and
+    no ranking, and the pair products cannot overflow at any input scale.
     """
     m = len(peaks)
     if m < 2:
         return []
+    powers = np.ldexp(peaks.powers, -2 * (np.frexp(peaks.powers.max())[1] // 2))
     diffs = []
     for j in range(1, m):
         for i in range(j):
             delta = peaks.frequencies[j] - peaks.frequencies[i]
-            weight = float(np.sqrt(peaks.powers[i] * peaks.powers[j]))
+            weight = float(np.sqrt(powers[i] * powers[j]))
             diffs.append((delta, weight))
     diffs.sort()
     merged: list[tuple[float, float]] = []
@@ -324,8 +335,6 @@ class _ShiftSearch:
     """
 
     def __init__(self, n_frames: int, cfg: StftConfig, search_hz: float):
-        from scipy.fft import fft, next_fast_len
-
         frame_rate = cfg.sample_rate / cfg.hop
         nfft = 1
         while nfft < max(2 * n_frames, frame_rate / 0.01):
@@ -345,17 +354,15 @@ class _ShiftSearch:
         wk2 = np.exp(-(1j * np.pi * (width / nfft) * k**2) / m)
         self._awk2 = np.exp(-2j * np.pi * lo / nfft * k[:n]) * wk2[:n]
         self._nfft = next_fast_len(n + m - 1)
-        self._fwk2 = fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), self._nfft)
+        self._fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), self._nfft)
         self._wk2 = wk2[:m]
         self._points = slice(n - 1, n + m - 1)
 
     def _chirp_z(self, products: np.ndarray) -> np.ndarray:
         """The (points, bins) chirp-z transform of the columns of
         ``products``, in ZoomFFT's operation and memory order."""
-        from scipy.fft import fft, ifft
-
         x = products.T
-        y = ifft(self._fwk2 * fft(x * self._awk2, self._nfft))
+        y = np.fft.ifft(self._fwk2 * np.fft.fft(x * self._awk2, self._nfft))
         return (y[..., self._points] * self._wk2).T
 
     def best_offset(self, products: np.ndarray) -> float:

@@ -81,6 +81,26 @@ def periodic_hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
+def next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c 7^d 11^e at or above ``n`` >= 1: a complex
+    FFT length pocketfft transforms quickly (``scipy.fft.next_fast_len``)."""
+    best = 1 << (n - 1).bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:  # p3 times the least power of two reaching n
+                    best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
 @dataclass(frozen=True)
 class StftConfig:
     """The analysis geometry at ``sample_rate``: 32 ms frames, 8 ms hop,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fields import check_fields
-from .stft import AudioBuffer
+from .stft import AudioBuffer, next_fast_len
 
 __all__ = [
     "HarmonicNoiseParams",
@@ -186,8 +186,6 @@ def _add_formants(source: np.ndarray, fs: float, freqs) -> np.ndarray:
     differently in its vector loops and on a single element, which would tie
     the samples to the chunk length.
     """
-    from scipy.fft import next_fast_len
-
     n = len(source)
     nfft = next_fast_len(n + _FORMANT_PAD)
     spec = np.fft.rfft(source, nfft)

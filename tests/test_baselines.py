@@ -12,7 +12,7 @@ from cyclospeech import (
     stft,
     wiener_gain,
 )
-from cyclospeech.baselines import _smoothed_power
+from cyclospeech.baselines import _smoothed_power, _trailing_min
 
 FS = 16000
 EPS = 1e-12
@@ -158,3 +158,14 @@ def test_oracle_irm_range(cfg16k):
     mask = oracle_irm(clean, noise, EPS)
     assert np.all(mask >= 0.0)
     assert np.all(mask < 1.0)
+
+
+@pytest.mark.parametrize("width", (1, 2, 3, 7, 8, 9, 188, 256))
+@pytest.mark.parametrize("rows, count", ((300, 300), (300, 40), (300, 1), (5, 5)))
+def test_trailing_min_equals_minimum_filter(width, rows, count):
+    from scipy.ndimage import minimum_filter1d
+
+    x = np.random.default_rng(width * rows + count).standard_normal((rows, 6))
+    x[::7] = x[3]  # ties
+    expected = minimum_filter1d(x, width, axis=0, mode="nearest", origin=(width - 1) // 2)
+    assert np.array_equal(_trailing_min(x, width, count), expected[rows - count :])

@@ -298,3 +298,11 @@ def test_csv_schemas(tmp_path):
     write_table_csv(table, aggregate(records))
     header = table.read_text(encoding="utf-8").split("\n")[0]
     assert header == "snr_bucket,preproc,mask,count,si_sdr_db,stoi,dnsmos,pesq"
+
+
+def test_i0_equals_scipy_special_on_the_kaiser_range():
+    from scipy.special import i0
+
+    rng = np.random.default_rng(9)
+    x = np.concatenate([np.linspace(0.0, 8.0, 100_001), rng.uniform(0.0, 8.0, 100_000)])
+    assert np.array_equal(metrics._i0(x), i0(x))

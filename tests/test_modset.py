@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,35 @@ def test_candidates_pairwise_differences():
 def test_single_peak_no_candidates():
     peaks = PeakList(np.array([100.0]), np.array([1.0]), WELCH_RES)
     assert candidate_modulations(peaks) == []
+
+
+def test_candidates_do_not_depend_on_the_power_scale():
+    # the pair weights are formed on the powers scaled by an exact power of
+    # two, so no pair product overflows or underflows, and the merged
+    # frequencies and their ranking are the same at every scale
+    rng = np.random.default_rng(6)
+    freqs = np.sort(rng.choice(np.arange(10, 1000), 20, replace=False)) * WELCH_RES
+    powers = 10.0 ** rng.uniform(-2.0, 2.0, 20)
+    expected = candidate_modulations(PeakList(freqs, powers, WELCH_RES))
+    assert len(expected) > 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-500, 501):
+            scaled = PeakList(freqs, powers * 4.0**k, WELCH_RES)
+            assert candidate_modulations(scaled) == expected, k
+
+
+@pytest.mark.parametrize(
+    "make",
+    (lambda n: np.full(n, 0.5), lambda n: 0.5 * np.sin(2 * np.pi * 1000.0 * np.arange(n) / FS)),
+    ids=("constant", "1 kHz tone"),
+)
+def test_noise_free_input_gets_the_trivial_set(cfg16k, make):
+    # the PSD's median is rounding noise here: no peak may be read from it,
+    # so the tone has one peak and the constant none (DC is an edge)
+    signal = AudioBuffer(make(5 * FS), FS)
+    assert len(pick_peaks(*welch_periodogram(signal))) <= 1
+    assert estimate_modulation_set_detailed(signal, cfg16k)[0].shifts == (0.0,)
 
 
 def test_self_coherence_is_one(cfg16k, spectral_coherence, cs_noise_10s):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclospeech import AudioBuffer, ComplexSpectrogram, StftConfig, istft, stft
-from cyclospeech.stft import _frame_signal, _overlap_add
+from cyclospeech.stft import _frame_signal, _overlap_add, next_fast_len
 
 FS = 16000
 
@@ -310,3 +310,10 @@ def test_overlap_add_matches_per_frame_loop(
     for first, stop in zip(bounds[:-1], bounds[1:]):
         _overlap_add(frames[first:stop], hop, blocked, begin + first * hop)
     assert np.array_equal(blocked, expected)
+
+
+def test_next_fast_len_equals_scipy():
+    from scipy.fft import next_fast_len as scipy_next_fast_len
+
+    for n in [*range(1, 5000), *range(960_000, 962_501)]:
+        assert next_fast_len(n) == scipy_next_fast_len(n), n

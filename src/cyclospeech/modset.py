@@ -454,6 +454,10 @@ def estimate_modulation_set_detailed(
         )
     if max_shifts < 1:
         raise ValueError("max_shifts must be at least 1")
+    # run on x / 2^e for x's peak in [2^(e-1), 2^e): exact, so no level over- or
+    # underflows; a NaN or infinite peak gives e = 0, and Welch refuses it by index
+    exponent = int(np.frexp(np.abs(signal.samples).max())[1])
+    signal = AudioBuffer(signal.samples * np.ldexp(1.0, -exponent), signal.sample_rate)
     min_shift_hz = cfg.sample_rate / cfg.fft_size
     freqs, psd = welch_periodogram(signal, seg_len=seg_len, overlap=overlap)
     peaks = pick_peaks(freqs, psd, max_peaks=peak_count)

@@ -39,10 +39,6 @@ class ModulationSet:
     def __len__(self) -> int:
         return len(self.shifts)
 
-    def validate_for_rate(self, sample_rate: int) -> None:
-        for s in self.shifts:
-            _check_shift(s, sample_rate)
-
 
 def modulate(signal: AudioBuffer, alpha: float) -> AudioBuffer:
     """Multiply by exp(+j*2*pi*alpha*n/fs), the direct form: the product

@@ -25,7 +25,7 @@ from .beamformer import process as cmpdr_process
 from .metrics import MetricRecord, si_sdr, stoi
 from .modset import CoherenceReport
 from .modulation import ModulationSet, build_augmented
-from .stft import AudioBuffer, StftConfig, istft
+from .stft import AudioBuffer, StftConfig, _check_shift, istft
 from .wavio import read_wav, write_wav
 
 # Unused here; the traced benchmark wraps this module attribute.
@@ -49,17 +49,13 @@ class PipelineConfig:
     """Everything one enhancement run depends on; loadable from a flat
     key=value file with CLI overrides. The estimator's settings are fixed.
 
-    A field's metadata ``admits`` is its admissible values, an interval
-    string or a tuple of choices, checked at construction (see ``_fields``)
-    and shown in the field's CLI help.
+    A field's metadata ``admits`` is its tuple of choices, checked at
+    construction (see ``_fields``) and shown in the field's CLI help.
     """
 
-    # below 63 Hz the 8 ms hop of the STFT rounds to no sample
-    sample_rate: int = field(default=16000, metadata={"admits": "[63, inf)"})
     preproc: str = field(default="cmpdr", metadata={"admits": ("id", "wiener", "cmpdr")})
     mask: str = field(default="none", metadata={"admits": ("none", "oracle-irm")})
-    # when set, bypasses estimation entirely: zero first, distinct, each
-    # below the Nyquist frequency
+    # when set, bypasses estimation entirely (see select_modulation_set)
     forced_modset: Optional[tuple[float, ...]] = field(
         default=None,
         metadata={
@@ -79,14 +75,13 @@ class PipelineConfig:
         check_fields(self)
         if self.forced_modset is not None:
             try:
-                ModulationSet(self.forced_modset).validate_for_rate(self.sample_rate)
+                ModulationSet(self.forced_modset)
             except ValueError as exc:
                 raise ValueError(f"forced_modset: {exc}") from None
 
+    # Only the benchmark's 16 kHz workloads call this; it goes with ROADMAP item 1.
     def stft_config(self) -> StftConfig:
-        """The analysis geometry, which follows ``sample_rate``: 32 ms
-        frames, 8 ms hop (512/128/512 points at 16 kHz)."""
-        return StftConfig(self.sample_rate)
+        return StftConfig(16000)
 
     def label(self) -> str:
         return f"{self.preproc}+{self.mask}"
@@ -132,14 +127,21 @@ def select_modulation_set(
     signal: AudioBuffer, config: PipelineConfig
 ) -> tuple[ModulationSet, list[CoherenceReport]]:
     """The shifts the beamformer uses on ``signal``: ``config.forced_modset``
-    when set (with no candidate reports), else the estimate at fixed settings.
+    when set (with no candidate reports), refused unless each shift is below
+    ``signal``'s Nyquist frequency, else the estimate at fixed settings.
 
     The estimator is looked up on its module at call time, so a wrapper
     installed there (as the traced benchmark does) sees every estimate.
     """
-    if config.forced_modset is not None:
-        return ModulationSet(config.forced_modset), []
-    return modset_module.estimate_modulation_set_detailed(signal, config.stft_config())
+    if config.forced_modset is None:
+        return modset_module.estimate_modulation_set_detailed(signal, StftConfig(signal.sample_rate))
+    modset = ModulationSet(config.forced_modset)
+    try:
+        for shift in modset.shifts:
+            _check_shift(shift, signal.sample_rate)
+    except ValueError as exc:
+        raise ValueError(f"forced_modset: {exc}") from None
+    return modset, []
 
 
 @dataclass
@@ -170,23 +172,20 @@ def enhance_buffer(
     next block's while this thread finishes the current one, so two blocks'
     stacks are never held at once, and each block's spectrograms are
     dropped before the next block's clean stack is made.
-    Raises ``ValueError`` on a NaN or infinite sample in ``noisy`` or
-    ``clean``, naming its index, rather than returning non-finite audio.
+    Raises ``ValueError`` on an empty ``noisy`` or ``clean``, and on a NaN
+    or infinite sample in either, naming its index.
     """
-    noisy.require_finite("noisy input")
-    if clean is not None:
-        clean.require_finite("clean reference")
-    if noisy.sample_rate != config.sample_rate:
-        raise ValueError(
-            f"input sample rate {noisy.sample_rate} does not match configured "
-            f"rate {config.sample_rate}"
-        )
+    for buffer, what in ((noisy, "noisy input"), (clean, "clean reference")):
+        if buffer is not None:
+            if not len(buffer):
+                raise ValueError(f"{what} is empty")
+            buffer.require_finite(what)
     if clean is not None and len(clean) != len(noisy):
         raise ValueError("clean reference must match the input length")
     if config.mask == "oracle-irm" and clean is None:
         raise ValueError("the oracle mask requires a clean reference signal")
 
-    cfg = config.stft_config()
+    cfg = StftConfig(noisy.sample_rate)
     total = cfg.num_frames(len(noisy))
     if config.preproc == "cmpdr":
         modset, _ = select_modulation_set(noisy, config)
@@ -279,7 +278,7 @@ def run_pipeline(
 
     record = None
     if reference is not None:
-        cfg = config.stft_config()
+        cfg = StftConfig(noisy.sample_rate)
         est = stage("metrics", trim_edges, result.enhanced, cfg)
         ref = stage("metrics", trim_edges, reference, cfg)
         record = MetricRecord(

@@ -222,7 +222,7 @@ def test_eval_run_log_with_pipelines_replays_the_run(tmp_path):
     assert cli_main(argv + [str(tmp_path / "first"), "--config", str(cfg)]) == 0
     log = (tmp_path / "first" / "run.log").read_text(encoding="utf-8")
     assert "preproc=" not in log and "mask=" not in log
-    assert "sample_rate=16000\n" in log
+    assert "forced_modset=0.0,100.0\n" in log
     assert log.endswith("# pipeline=id:none\n# pipeline=cmpdr:oracle-irm\n")
     replay = ["--config", str(tmp_path / "first" / "run.log")]
     assert cli_main(argv + [str(tmp_path / "replay")] + replay) == 0
@@ -377,8 +377,7 @@ def test_cli_enhance_and_modset_at_44k(tmp_path, capsys):
     out = tmp_path / "enhanced.wav"
     rc = cli_main(
         [
-            "enhance", str(mix), str(out), "--sample-rate", str(fs),
-            "--preproc", "cmpdr", "--modset", "0,100,200",
+            "enhance", str(mix), str(out), "--preproc", "cmpdr", "--modset", "0,100,200",
         ]
     )
     assert rc == 0, capsys.readouterr().err
@@ -386,9 +385,48 @@ def test_cli_enhance_and_modset_at_44k(tmp_path, capsys):
     assert enhanced.sample_rate == fs
     assert len(enhanced) == len(read_wav(mix))
 
-    rc = cli_main(["modset", str(mix), "--sample-rate", str(fs)])
+    rc = cli_main(["modset", str(mix)])
     assert rc == 0, capsys.readouterr().err
     assert "modulation set [Hz]: 0" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def mixed_rate_dataset(tmp_path_factory):
+    """A dataset synthesized from 3 s sources at 8, 16 and 44.1 kHz."""
+    root = tmp_path_factory.mktemp("mixed_rate")
+    clean_dir = root / "speech"
+    clean_dir.mkdir()
+    for fs in (8000, 16000, 44100):
+        write_wav(clean_dir / f"utt_{fs}.wav", synth_speech_like(3.0, fs, seed=fs))
+    synth_dataset(clean_dir, root / "ds", SynthSettings(seed=8))
+    return root / "ds"
+
+
+def test_eval_scores_every_rate_of_a_mixed_rate_dataset(mixed_rate_dataset, tmp_path):
+    # the geometry follows each input's rate: no row is refused for its rate
+    pipelines = [("id", "none"), ("wiener", "none"), ("cmpdr", "none"), ("cmpdr", "oracle-irm")]
+    configs = [PipelineConfig(preproc=p, mask=m) for p, m in pipelines]
+    records, skips = eval_dataset(mixed_rate_dataset, configs, out_dir=tmp_path, workers=2)
+    assert skips == []
+    assert (tmp_path / "skipped.log").read_text(encoding="utf-8") == ""
+    expected = sorted((f"utt_{fs}", p, m) for fs in (8000, 16000, 44100) for p, m in pipelines)
+    assert [(r.file, r.preproc, r.mask) for r in records] == expected
+    assert all(np.isfinite(r.si_sdr_db) and np.isfinite(r.stoi) for r in records)
+    with open(tmp_path / "metrics.csv", encoding="utf-8", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == len(expected)
+
+
+def test_forced_shift_above_one_input_nyquist_skips_that_file_only(
+    mixed_rate_dataset, tmp_path, capsys
+):
+    # 5 kHz is at or above the Nyquist frequency of the 8 kHz file only
+    argv = ["eval", "--dataset-dir", str(mixed_rate_dataset), "--out-dir", str(tmp_path)]
+    assert cli_main(argv + ["--pipeline", "cmpdr:none", "--modset", "0,5000"]) == 0
+    assert "(1 skipped)" in capsys.readouterr().out
+    with open(tmp_path / "metrics.csv", encoding="utf-8", newline="") as fh:
+        assert [r["file"] for r in csv.DictReader(fh)] == ["utt_16000", "utt_44100"]
+    (skip,) = (tmp_path / "skipped.log").read_text(encoding="utf-8").splitlines()
+    assert skip.startswith("utt_8000 [cmpdr+none]: [enhance] forced_modset: shift 5000.0 Hz")
 
 
 def test_eval_dataset_skips_non_finite_mixture(tmp_path):
@@ -409,7 +447,6 @@ def test_eval_dataset_skips_non_finite_mixture(tmp_path):
 # A value other than the default for every PipelineConfig field; a field
 # missing here fails the flag test below.
 NON_DEFAULT = {
-    "sample_rate": 8000,
     "preproc": "wiener",
     "mask": "oracle-irm",
     "forced_modset": (0.0, 97.31234567, 194.6246913),
@@ -454,18 +491,18 @@ def test_every_synth_setting_has_a_flag(field):
 def test_flags_override_the_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
-        "mask=oracle-irm\nsample_rate=8000\nforced_modset=0,100\n", encoding="utf-8"
+        "preproc=wiener\nmask=oracle-irm\nforced_modset=0,100\n", encoding="utf-8"
     )
-    argv = ["modset", "in.wav", "--config", str(path), "--sample-rate", "22050", "--modset", ""]
+    argv = ["enhance", "in.wav", "out.wav", "--config", str(path), "--mask", "none", "--modset", ""]
     config = _build_config(build_parser().parse_args(argv))
-    assert config == PipelineConfig(mask="oracle-irm", sample_rate=22050, forced_modset=None)
+    assert config == PipelineConfig(preproc="wiener", mask="none", forced_modset=None)
 
 
 # The settings flags of each subcommand: the fields it honours, no others
 SETTINGS_FLAGS = {
-    "enhance": {"--sample-rate", "--preproc", "--mask", "--modset"},
-    "eval": {"--sample-rate", "--preproc", "--mask", "--modset"},
-    "modset": {"--sample-rate", "--modset"},
+    "enhance": {"--preproc", "--mask", "--modset"},
+    "eval": {"--preproc", "--mask", "--modset"},
+    "modset": {"--modset"},
     "synth": {
         "--seed", "--snr-range", "--f0-range", "--num-harmonics",
         "--correlation", "--envelope-rate", "--amplitude-decay", "--encoding",
@@ -505,12 +542,12 @@ def test_eval_short_clip_scores_id_and_skips_cmpdr_with_stage(tmp_path):
 # Values outside the range each field admits, one entry per field of
 # PipelineConfig and of SynthSettings: ends of open intervals, NaN, bools,
 # unknown choices, non-integers for integer fields, shift sets that are no
-# set, and ranges that are no (low, high) pair.
+# set, and ranges that are no (low, high) pair. A shift at or above an
+# input's Nyquist frequency is refused per input, not here.
 OUT_OF_RANGE = {
-    "sample_rate": (0, -8000, 62, 16000.5, True),
     "preproc": ("dnn",),
     "mask": ("learned",),
-    "forced_modset": ((100.0,), (0.0, 50.0, 50.0), (0.0, 8000.0)),
+    "forced_modset": ((100.0,), (0.0, 50.0, 50.0), (0.0, float("nan"))),
     "seed": (-1, 2.5, True),
     "snr_range": ((float("nan"), 0.0), (0.0, -10.0), (-20.0, -10.0, 0.0), (False, True)),
     "f0_range": ((0.0, 100.0), (150.0, 60.0), (60.0, float("inf"))),

@@ -322,6 +322,20 @@ def _white_noise():
     return AudioBuffer(samples, FS), {"peak_count": 6, "seg_len": 32768}
 
 
+def test_estimate_does_not_depend_on_the_input_scale(cfg16k):
+    # the estimator divides the input by the power of two of its peak, so
+    # at 2^300 the support products do not overflow to inf, nor at 2^-500
+    # underflow to 0, either of which collapsed the set to {0}
+    signal, _ = _harmonic_mixture()
+    expected = estimate_modulation_set_detailed(signal, cfg16k)
+    assert len(expected[0]) > 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (-500, -300, 300, 500):
+            scaled = AudioBuffer(np.ldexp(signal.samples, k), FS)
+            assert estimate_modulation_set_detailed(scaled, cfg16k) == expected, k
+
+
 @pytest.mark.parametrize("make", (_harmonic_mixture, _white_noise), ids=("harmonic", "white"))
 def test_reports_do_not_depend_on_the_thread_budget(cfg16k, monkeypatch, make):
     signal, kwargs = make()

@@ -54,8 +54,9 @@ def test_config_validation():
         PipelineConfig(preproc="dnn")
     with pytest.raises(ValueError, match="mask"):
         PipelineConfig(mask="learned")
-    with pytest.raises(ValueError, match="sample_rate"):
-        PipelineConfig(sample_rate=16000.5)
+    # the rate is the audio's, not a setting
+    with pytest.raises(TypeError, match="sample_rate"):
+        PipelineConfig(sample_rate=16000)
     with pytest.raises(ValueError, match="first shift"):
         PipelineConfig(forced_modset=(100.0, 0.0))
 
@@ -66,14 +67,12 @@ def test_config_file_roundtrip(tmp_path):
         "# pipeline settings\n"
         "preproc=wiener\n"
         "mask=oracle-irm\n"
-        "sample_rate=8000\n"
         "forced_modset=0,110,220\n",
         encoding="utf-8",
     )
     config = PipelineConfig.from_file(path)
     assert config.preproc == "wiener"
     assert config.mask == "oracle-irm"
-    assert config.sample_rate == 8000
     assert config.forced_modset == (0.0, 110.0, 220.0)
     # mapping round trip preserves everything
     back = PipelineConfig.from_mapping(
@@ -83,21 +82,33 @@ def test_config_file_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("fs", [8000, 11025, 16000, 22050, 44100, 48000])
-def test_config_geometry_follows_sample_rate(fs):
-    got = PipelineConfig(sample_rate=fs).stft_config()
-    assert got == StftConfig(fs)
-    assert (got.sample_rate, got.hop) == (fs, round(0.008 * fs))
+def test_config_geometry_follows_sample_rate(fs, tmp_path):
+    # run_pipeline trims one frame of the input's own geometry per edge
+    cfg = StftConfig(fs)
+    assert cfg.hop == round(0.008 * fs)
+    speech = synth_speech_like(2.0, fs, seed=36)
+    noisy = AudioBuffer(speech.samples + 0.1 * np.sin(np.arange(len(speech))), fs)
+    write_wav(tmp_path / "in.wav", noisy)
+    write_wav(tmp_path / "ref.wav", speech)
+    enhanced, record = run_pipeline(
+        tmp_path / "in.wav", PipelineConfig(preproc="id"), reference_wav=tmp_path / "ref.wav"
+    )
+    est, ref = trim_edges(enhanced, cfg), trim_edges(read_wav(tmp_path / "ref.wav"), cfg)
+    assert len(est) == len(noisy) - 2 * cfg.frame_len
+    assert record.si_sdr_db == si_sdr(est, ref)
 
 
-def test_config_refuses_a_rate_without_a_hop(capsys):
-    # below 63 Hz the 8 ms hop rounds to no sample: the field admits
-    # [63, inf), so the config refuses such a rate by name, not the STFT
-    PipelineConfig(sample_rate=63)
+def test_config_refuses_a_rate_without_a_hop(tmp_path, capsys):
+    # below 63 Hz the 8 ms hop rounds to no sample: StftConfig refuses such
+    # a rate, and enhance does so for a WAV at it
+    StftConfig(63)
     for rate in (1, 50, 62):
-        with pytest.raises(ValueError, match=rf"^sample_rate must lie in \[63, inf\), got {rate}$"):
-            PipelineConfig(sample_rate=rate)
-    assert cli_main(["modset", "in.wav", "--sample-rate", "50"]) == 2
-    assert "sample_rate must lie in [63, inf), got 50" in capsys.readouterr().err
+        with pytest.raises(ValueError, match=rf"^rate {rate} Hz is below 63 Hz"):
+            StftConfig(rate)
+    wav = tmp_path / "in.wav"
+    write_wav(wav, AudioBuffer(np.ones(200), 50))
+    assert cli_main(["enhance", str(wav), str(tmp_path / "out.wav"), "--preproc", "id"]) == 2
+    assert "[enhance] rate 50 Hz is below 63 Hz" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fs", [8000, 11025, 22050, 44100, 48000])
@@ -114,7 +125,7 @@ def test_enhance_off_16k_is_finite_and_length_preserving(fs, config):
     speech = synth_speech_like(2.0, fs, seed=51)
     noise = synth_harmonic_cs_noise(2.0, fs, HarmonicNoiseParams(f0=100.0, seed=52))
     mix, _ = mix_at_snr(speech, noise, MixSpec(snr_db=-5.0))
-    result = enhance_buffer(mix, replace(config, sample_rate=fs))
+    result = enhance_buffer(mix, config)
     assert len(result.enhanced) == len(mix)
     assert result.enhanced.sample_rate == fs
     assert np.all(np.isfinite(result.enhanced.samples))
@@ -122,9 +133,11 @@ def test_enhance_off_16k_is_finite_and_length_preserving(fs, config):
 
 def test_config_unknown_key_rejected(tmp_path):
     # ms_alpha, beta_x, max_shifts: the Wiener settings, the beamformer's
-    # smoothing and the estimator's settings are constants, not keys
+    # smoothing and the estimator's settings are constants, not keys; the
+    # sample rate is each input's own
     path = tmp_path / "bad.cfg"
-    for line in ("learning_rate=0.1", "ms_alpha=0.85", "beta_x=0.95", "max_shifts=5"):
+    lines = ("learning_rate=0.1", "ms_alpha=0.85", "beta_x=0.95", "max_shifts=5", "sample_rate=16000")
+    for line in lines:
         path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unknown config key"):
             PipelineConfig.from_file(path)
@@ -159,10 +172,8 @@ def test_cmpdr_trivial_modset_equals_identity_spectrogram(cfg16k, speech_4s):
 )
 def test_trivial_modset_is_the_identity_at_every_rate(fs, length, seed):
     noisy = AudioBuffer(np.random.default_rng(seed).standard_normal(length), fs)
-    ident = enhance_buffer(noisy, PipelineConfig(sample_rate=fs, preproc="id"))
-    trivial = enhance_buffer(
-        noisy, PipelineConfig(sample_rate=fs, preproc="cmpdr", forced_modset=(0.0,))
-    )
+    ident = enhance_buffer(noisy, PipelineConfig(preproc="id"))
+    trivial = enhance_buffer(noisy, PipelineConfig(preproc="cmpdr", forced_modset=(0.0,)))
     cfg = StftConfig(fs)
     assert np.array_equal(trivial_stage(noisy, cfg), stft(noisy, cfg).data)
     assert np.array_equal(ident.enhanced.samples, trivial.enhanced.samples)
@@ -298,10 +309,25 @@ def test_oracle_mask_requires_reference(speech_4s):
         enhance_buffer(speech_4s, PipelineConfig(preproc="id", mask="oracle-irm"))
 
 
-def test_sample_rate_checked(speech_4s):
-    config = PipelineConfig(sample_rate=8000)
-    with pytest.raises(ValueError, match="sample rate"):
-        enhance_buffer(speech_4s, config)
+@pytest.mark.parametrize("preproc", ["id", "wiener", "cmpdr"])
+def test_enhance_refuses_an_empty_input_by_name(preproc, speech_4s):
+    config = PipelineConfig(preproc=preproc)
+    empty = AudioBuffer(np.empty(0), FS)
+    with pytest.raises(ValueError, match="^noisy input is empty$"):
+        enhance_buffer(empty, config)
+    with pytest.raises(ValueError, match="^clean reference is empty$"):
+        enhance_buffer(speech_4s, config, clean=empty)
+
+
+def test_forced_shift_is_checked_against_each_input_rate():
+    # 5 kHz is below the Nyquist frequency of a 16 or 44.1 kHz input, not of
+    # an 8 kHz one
+    config = PipelineConfig(preproc="cmpdr", forced_modset=(0.0, 5000.0))
+    for fs in (16000, 44100):
+        noisy = synth_speech_like(1.0, fs, seed=37)
+        assert len(enhance_buffer(noisy, config).enhanced) == len(noisy)
+    with pytest.raises(ValueError, match="^forced_modset: shift 5000.0 Hz"):
+        enhance_buffer(synth_speech_like(1.0, 8000, seed=37), config)
 
 
 def test_oracle_irm_pipeline_improves_low_snr_mixture(cfg16k):

@@ -138,7 +138,8 @@ def _cmd_eval(args) -> int:
     # the file only now: eval_dataset refuses bad input before creating anything
     _log_config(base, out_dir / "run.log", echo=False, pipelines=pipelines)
     print(f"evaluated {len(records)} records ({len(skips)} skipped) -> {out_dir}")
-    return 0
+    # every output is written; a skipped row still fails the run for a script
+    return 1 if skips else 0
 
 
 def _cmd_modset(args) -> int:

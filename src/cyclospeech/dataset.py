@@ -40,22 +40,6 @@ __all__ = ["SynthSettings", "synth_dataset", "eval_dataset"]
 logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.csv"
-MANIFEST_FIELDS = [
-    "file",
-    "clean_path",
-    "noise_path",
-    "mix_path",
-    "sample_rate",
-    "num_samples",
-    "f0_hz",
-    "num_harmonics",
-    "correlation",
-    "envelope_rate_hz",
-    "amplitude_decay",
-    "noise_seed",
-    "snr_db",
-    "gain",
-]
 
 
 def _noise_field(name: str, **overrides):
@@ -158,22 +142,19 @@ def synth_dataset(clean_dir, out_dir, settings: SynthSettings | None = None) -> 
                 **rel,
                 "sample_rate": clean.sample_rate,
                 "num_samples": len(clean),
-                "f0_hz": f"{f0:.6f}",
+                "f0_hz": f0,
                 "num_harmonics": settings.num_harmonics,
-                "correlation": f"{settings.correlation:.6f}",
-                "envelope_rate_hz": f"{settings.envelope_rate:.6f}",
-                "amplitude_decay": f"{settings.amplitude_decay:.6f}",
+                "correlation": float(settings.correlation),
+                "envelope_rate_hz": float(settings.envelope_rate),
+                "amplitude_decay": float(settings.amplitude_decay),
                 "noise_seed": noise_seed,
-                "snr_db": f"{snr_db:.6f}",
-                "gain": f"{gain:.6f}",
+                "snr_db": snr_db,
+                "gain": gain,
             }
         )
 
     manifest = out_dir / MANIFEST_NAME
-    with open(manifest, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    write_table_csv(manifest, rows)
     logger.info("synthesized %d triples into %s", len(rows), out_dir)
     return manifest
 

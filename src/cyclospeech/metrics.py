@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .stft import AudioBuffer, _overlap_add, periodic_hann
+from .stft import AudioBuffer, _overlap_add, _unit_peak, periodic_hann
 
 __all__ = [
     "MetricRecord",
@@ -95,13 +95,6 @@ def _checked_pair(
     return e, r
 
 
-def _peak_normalized(x: np.ndarray) -> np.ndarray:
-    """``x`` divided by the power of two of its peak, which is exact: the
-    peak lands in [0.5, 1), far from over- and underflow."""
-    _, exponent = np.frexp(np.max(np.abs(x)))
-    return np.ldexp(x, -exponent)
-
-
 def si_sdr(estimate: AudioBuffer, reference: AudioBuffer) -> float:
     """Scale-invariant signal-to-distortion ratio in dB, capped at +100 dB.
 
@@ -109,7 +102,7 @@ def si_sdr(estimate: AudioBuffer, reference: AudioBuffer) -> float:
     is exact, so the energies neither over- nor underflow and a pair scores
     the same, bit for bit, at any power-of-two scale that keeps it normal.
     """
-    e, r = map(_peak_normalized, _checked_pair(estimate, reference))
+    e, r = map(_unit_peak, _checked_pair(estimate, reference))
     r_energy = float(np.dot(r, r))
     target = (np.dot(e, r) / r_energy) * r
     target_energy = float(np.dot(target, target))
@@ -231,12 +224,11 @@ def stoi(estimate: AudioBuffer, reference: AudioBuffer) -> float:
     Both signals are resampled to 10 kHz, silent reference frames are
     removed, band envelopes over 15 one-third-octave bands are compared in
     384 ms segments with per-segment normalization and clipping, and the
-    band/segment correlations are averaged.
+    band/segment correlations are averaged. Each input is first divided by
+    the power of two of its own peak, as in ``si_sdr``, so a pair scores the
+    same, bit for bit, at any power-of-two scale that keeps it normal.
     """
-    e, r = _checked_pair(estimate, reference)
-    if not np.dot(r, r):
-        # STOI's absolute eps terms cannot score a reference this quiet
-        raise ValueError("reference signal has zero energy")
+    e, r = map(_unit_peak, _checked_pair(estimate, reference))
     fs = reference.sample_rate
     if estimate.sample_rate != fs:
         raise ValueError("sample-rate mismatch between estimate and reference")

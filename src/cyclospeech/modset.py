@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .modulation import ModulationSet
-from .stft import AudioBuffer, StftConfig, next_fast_len, stft
+from .stft import AudioBuffer, StftConfig, _unit_peak, next_fast_len, stft
 
 # Unused here; the traced benchmark wraps this module attribute.
 from .modulation import modulate  # noqa: F401
@@ -206,14 +206,15 @@ def candidate_modulations(peaks: PeakList) -> list[float]:
     more than ``MAX_CANDIDATES`` survive, the heaviest are kept. Returned
     ascending.
 
-    The weights are formed on the powers divided by an even power of two
-    near their maximum. That is exact, so it changes no merged frequency and
-    no ranking, and the pair products cannot overflow at any input scale.
+    The weights are formed on the powers divided by the power of two of
+    their maximum. That is exact, as is the square root of a product scaled
+    by 2^-2e, so it changes no merged frequency and no ranking, and the pair
+    products cannot overflow at any input scale.
     """
     m = len(peaks)
     if m < 2:
         return []
-    powers = np.ldexp(peaks.powers, -2 * (np.frexp(peaks.powers.max())[1] // 2))
+    powers = _unit_peak(peaks.powers)
     diffs = []
     for j in range(1, m):
         for i in range(j):
@@ -454,10 +455,9 @@ def estimate_modulation_set_detailed(
         )
     if max_shifts < 1:
         raise ValueError("max_shifts must be at least 1")
-    # run on x / 2^e for x's peak in [2^(e-1), 2^e): exact, so no level over- or
-    # underflows; a NaN or infinite peak gives e = 0, and Welch refuses it by index
-    exponent = int(np.frexp(np.abs(signal.samples).max())[1])
-    signal = AudioBuffer(signal.samples * np.ldexp(1.0, -exponent), signal.sample_rate)
+    # run at unit peak, so no level over- or underflows; a NaN or infinite
+    # sample passes unscaled, and Welch refuses it by index
+    signal = AudioBuffer(_unit_peak(signal.samples), signal.sample_rate)
     min_shift_hz = cfg.sample_rate / cfg.fft_size
     freqs, psd = welch_periodogram(signal, seg_len=seg_len, overlap=overlap)
     peaks = pick_peaks(freqs, psd, max_peaks=peak_count)

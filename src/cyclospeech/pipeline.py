@@ -147,7 +147,6 @@ def select_modulation_set(
 @dataclass
 class EnhanceResult:
     enhanced: AudioBuffer
-    modset: Optional[ModulationSet]
 
 
 # Frames per block of the enhancement loop (4.1 s at the 8 ms hop of every
@@ -188,11 +187,10 @@ def enhance_buffer(
     cfg = StftConfig(noisy.sample_rate)
     total = cfg.num_frames(len(noisy))
     if config.preproc == "cmpdr":
-        modset, _ = select_modulation_set(noisy, config)
-        logger.info("modulation set: %s Hz", [round(s, 3) for s in modset.shifts])
-        shifts = modset
+        shifts, _ = select_modulation_set(noisy, config)
+        logger.info("modulation set: %s Hz", [round(s, 3) for s in shifts.shifts])
     else:
-        modset, shifts = None, ModulationSet((0.0,))
+        shifts = ModulationSet((0.0,))
     wiener = MinStatsState(num_frames=total) if config.preproc == "wiener" else None
     # a clean companion is passed through the *identical* realized filter, so
     # Y - Y_clean is exactly the filtered noise; only the oracle mask reads it
@@ -236,7 +234,7 @@ def enhance_buffer(
             istft(y, out=enhanced, first_frame=frames[0])
             # and its spectrograms and gains before the next block's stacks are made
             y = y_clean = residual = noise_psd = smoothed = gain = None
-    return EnhanceResult(enhanced=AudioBuffer(enhanced, noisy.sample_rate), modset=modset)
+    return EnhanceResult(enhanced=AudioBuffer(enhanced, noisy.sample_rate))
 
 
 def trim_edges(buffer: AudioBuffer, cfg: StftConfig) -> AudioBuffer:

@@ -70,6 +70,20 @@ class AudioBuffer:
             )
 
 
+def _unit_peak(x: np.ndarray) -> np.ndarray:
+    """``x`` divided by the power of two of its peak magnitude, which is
+    exact: the peak lands in [0.5, 1), far from over- and underflow, and
+    ``x`` scaled by any power of two that keeps it normal gives the same
+    array. An all-zero or non-finite ``x`` comes back unchanged."""
+    _, exponent = np.frexp(np.max(np.abs(x)))
+    if not np.iscomplexobj(x):
+        return np.ldexp(x, -exponent)
+    out = np.empty_like(x)
+    np.ldexp(x.real, -exponent, out=out.real)
+    np.ldexp(x.imag, -exponent, out=out.imag)
+    return out
+
+
 def _integral_rate(rate):
     """``rate``, refused unless an integer (a numpy one too), not a bool."""
     if isinstance(rate, bool) or not isinstance(rate, numbers.Integral):

@@ -129,6 +129,36 @@ def test_eval_dataset_missing_reference_skipped_loudly(tmp_path):
     assert "missing reference" in log_text
 
 
+def test_cli_eval_exits_1_when_it_skipped_a_row(tmp_path, capsys):
+    clean_dir = make_clean_dir(tmp_path)
+    ds = tmp_path / "ds"
+    synth_dataset(clean_dir, ds, SynthSettings(seed=4))
+    (ds / "mix" / "utt00.wav").unlink()
+    res = tmp_path / "res"
+    argv = ["eval", "--dataset-dir", str(ds), "--out-dir", str(res), "--pipeline", "id:none"]
+    assert cli_main(argv) == 1
+    assert "(1 skipped)" in capsys.readouterr().out
+    with open(res / "metrics.csv", encoding="utf-8", newline="") as fh:
+        assert [r["file"] for r in csv.DictReader(fh)] == ["utt01"]
+    (skip,) = (res / "skipped.log").read_text(encoding="utf-8").splitlines()
+    assert skip.startswith("utt00: missing mixture file")
+
+
+def test_manifest_writes_integer_noise_settings_as_floats(tmp_path):
+    clean_dir = make_clean_dir(tmp_path, count=1, duration=1.0)
+    settings = SynthSettings(correlation=1, amplitude_decay=0, envelope_rate=5)
+    manifest = synth_dataset(clean_dir, tmp_path / "ds", settings)
+    header, line = manifest.read_text(encoding="utf-8").splitlines()
+    assert header == (
+        "file,clean_path,noise_path,mix_path,sample_rate,num_samples,f0_hz,"
+        "num_harmonics,correlation,envelope_rate_hz,amplitude_decay,noise_seed,snr_db,gain"
+    )
+    row = dict(zip(header.split(","), line.split(",")))
+    assert (row["correlation"], row["amplitude_decay"], row["envelope_rate_hz"]) == (
+        "1.000000", "0.000000", "5.000000"
+    )
+
+
 def test_eval_dataset_skips_a_non_finite_snr_row(tmp_path):
     clean_dir = make_clean_dir(tmp_path)
     ds = tmp_path / "ds"
@@ -421,7 +451,7 @@ def test_forced_shift_above_one_input_nyquist_skips_that_file_only(
 ):
     # 5 kHz is at or above the Nyquist frequency of the 8 kHz file only
     argv = ["eval", "--dataset-dir", str(mixed_rate_dataset), "--out-dir", str(tmp_path)]
-    assert cli_main(argv + ["--pipeline", "cmpdr:none", "--modset", "0,5000"]) == 0
+    assert cli_main(argv + ["--pipeline", "cmpdr:none", "--modset", "0,5000"]) == 1
     assert "(1 skipped)" in capsys.readouterr().out
     with open(tmp_path / "metrics.csv", encoding="utf-8", newline="") as fh:
         assert [r["file"] for r in csv.DictReader(fh)] == ["utt_16000", "utt_44100"]

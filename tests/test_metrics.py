@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -63,17 +64,20 @@ def test_si_sdr_matches_lstsq_oracle():
         assert abs(got - expected) <= 1e-9
 
 
+@pytest.mark.parametrize("metric", [si_sdr, stoi])
 @pytest.mark.parametrize("k_est, k_ref", [(-600, -600), (900, 900), (-600, 900), (900, -600)])
-def test_si_sdr_exact_at_extreme_power_of_two_scales(speech_4s, k_est, k_ref):
+def test_metrics_exact_at_extreme_power_of_two_scales(speech_4s, metric, k_est, k_ref):
     # a reference scaled by 2^-600 once had "zero energy", one scaled by
     # 2^900 overflowed; a power of two scales every sample exactly
     noise = AudioBuffer(np.random.default_rng(8).standard_normal(len(speech_4s)), FS)
     mixture, _ = mix_at_snr(speech_4s, noise, MixSpec(snr_db=-5.0))
-    base = si_sdr(mixture, speech_4s)
-    scaled = si_sdr(
-        AudioBuffer(np.ldexp(mixture.samples, k_est), FS),
-        AudioBuffer(np.ldexp(speech_4s.samples, k_ref), FS),
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = metric(mixture, speech_4s)
+        scaled = metric(
+            AudioBuffer(np.ldexp(mixture.samples, k_est), FS),
+            AudioBuffer(np.ldexp(speech_4s.samples, k_ref), FS),
+        )
     assert scaled == base
 
 

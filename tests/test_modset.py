@@ -336,6 +336,18 @@ def test_estimate_does_not_depend_on_the_input_scale(cfg16k):
             assert estimate_modulation_set_detailed(scaled, cfg16k) == expected, k
 
 
+def test_estimate_scales_a_complex_input_exactly(cfg16k):
+    # the real and imaginary parts are divided by one power of two
+    signal, _ = _harmonic_mixture()
+    rotated = signal.samples * np.exp(0.1j)
+    expected = estimate_modulation_set_detailed(AudioBuffer(rotated, FS), cfg16k)
+    assert len(expected[0]) > 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = AudioBuffer(rotated * 2.0**-500, FS)
+        assert estimate_modulation_set_detailed(scaled, cfg16k) == expected
+
+
 @pytest.mark.parametrize("make", (_harmonic_mixture, _white_noise), ids=("harmonic", "white"))
 def test_reports_do_not_depend_on_the_thread_budget(cfg16k, monkeypatch, make):
     signal, kwargs = make()

@@ -60,8 +60,9 @@ _ABS_LOAD_FLOOR = 1e-30
 # rounding drift of the rank-1 updates and restore the loading.
 _REANCHOR_FRAMES = 32
 
-# Frames per chunk: the frames of a chunk are gathered into fixed-layout
-# buffers and their outputs written out at once.
+# Frames per chunk: the weights of a chunk's frames are gathered into one
+# buffer and its outputs formed at once. The pipeline passes the beamformer
+# this many frames per call.
 _BLOCK_FRAMES = 64
 
 # Leading frames whose mean channel-0 power sets the warm start of S.
@@ -166,8 +167,6 @@ def process(
             f"{state.shape[0]} channels x {state.shape[1]} bins"
         )
 
-    # every sum below runs over a buffer of fixed layout, so the output does
-    # not depend on the stack's
     frames_comp = companion.channels if companion is not None else None
     if c == 1:
         out = frames[0].copy()
@@ -204,7 +203,9 @@ def _recursion(state, frames, frames_comp):
             return frames[:, lo:stop, bins]
         return np.concatenate([state.since[:, :, bins], frames[:, :stop, bins]], axis=1)
 
-    # S is kept at the last anchor only. S, P_r and z^* are bins innermost,
+    # Every sum below runs on a fresh temporary or a buffer of its own, in
+    # C order whatever the stack's layout, so the output does not depend on
+    # it. S is kept at the last anchor only. S, P_r and z^* are bins innermost,
     # so each per-frame step is a few whole-array operations over contiguous
     # runs of K values. P_r is held as Q = beta_x^m P_r, m frames after its
     # anchor, which folds the per-frame 1 / beta_x into scalars.
@@ -213,18 +214,14 @@ def _recursion(state, frames, frames_comp):
     tmp = np.empty((r, r, k), dtype=np.complex128)
     out = np.empty((l, k), dtype=np.complex128)
     out_comp = np.empty((l, k), dtype=np.complex128) if frames_comp is not None else None
-    x_buf = np.empty((c, _BLOCK_FRAMES, k), dtype=np.complex128)
     zc_buf = np.empty((r, _BLOCK_FRAMES, k), dtype=np.complex128)
     max_d = 1.0 / np.finfo(np.float64).eps
     zc, q_inv = state.zc, state.q_inv
     for start in range(0, l, _BLOCK_FRAMES):
         stop = min(start + _BLOCK_FRAMES, l)
-        n = stop - start
-        x_blk = x_buf[:, :n]
-        x_blk[...] = frames[:, start:stop]
         for i, j in enumerate(range(start, stop)):
             frame = f0 + j
-            x0, xr = x_blk[0, i], x_blk[1:, i]
+            x0, xr = frames[0, j], frames[1:, j]
             if frame % _REANCHOR_FRAMES == 0:
                 state.cov = _covariance(state.cov, since(j + 1))
                 state.anchor = frame
@@ -254,7 +251,8 @@ def _recursion(state, frames, frames_comp):
             zc_buf[:, i] = zc
         # y = w^H x = x0 - z^H xr for the whole chunk at once (equal to e / d
         # in exact arithmetic), main and companion alike
-        zc_blk = zc_buf[:, :n]
+        zc_blk = zc_buf[:, : stop - start]
+        x_blk = frames[:, start:stop]
         out[start:stop] = x_blk[0] - (zc_blk * x_blk[1:]).sum(axis=0)
         if frames_comp is not None:
             xc_blk = frames_comp[:, start:stop]

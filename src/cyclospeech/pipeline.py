@@ -20,7 +20,7 @@ from .baselines import (
     oracle_irm,
     wiener_gain,
 )
-from .beamformer import CmpdrState
+from .beamformer import _BLOCK_FRAMES, _WARM_FRAMES, CmpdrState
 from .beamformer import process as cmpdr_process
 from .metrics import MetricRecord, si_sdr, stoi
 from .modset import CoherenceReport
@@ -150,8 +150,9 @@ class EnhanceResult:
 
 
 # Frames per block of the enhancement loop (4.1 s at the 8 ms hop of every
-# rate): each block is analysed, filtered and overlap-added before the next,
-# so memory beyond the audio arrays does not grow with the input's length.
+# rate): each block's stacks are analysed, then filtered, masked and
+# overlap-added _BLOCK_FRAMES frames at a time, before the next block's, so
+# memory beyond the audio arrays does not grow with the input's length.
 _STREAM_FRAMES = 512
 
 
@@ -164,13 +165,16 @@ def enhance_buffer(
 
     Every preprocessor is the beamformer: ``cmpdr`` on the estimated or
     forced set, ``id`` and ``wiener`` on the trivial set {0}, which passes
-    the STFT through bit for bit; ``wiener`` then applies its gain. The
-    stages run over consecutive blocks of ``_STREAM_FRAMES`` frames, each
-    carrying its state to the next, and the output is the same for any
-    block length. One helper thread builds each block's noisy stack, the
-    next block's while this thread finishes the current one, so two blocks'
-    stacks are never held at once, and each block's spectrograms are
-    dropped before the next block's clean stack is made.
+    the STFT through bit for bit; ``wiener`` then applies its gain. Each
+    block of ``_STREAM_FRAMES`` frames has its noisy stack (and clean stack)
+    built at once; the beamformer, the Wiener gain, the oracle mask and the
+    iSTFT then run over consecutive chunks of ``_BLOCK_FRAMES`` frames of
+    those stacks, carrying their state from chunk to chunk and from block to
+    block, so no output, residual, mask or synthesis array longer than a
+    chunk is held, and the output is the same for any block or chunk length.
+    One helper thread builds each block's noisy stack, the next block's
+    once the current block's stacks are dropped, so two blocks' stacks are
+    never held at once.
     Raises ``ValueError`` on an empty ``noisy`` or ``clean``, and on a NaN
     or infinite sample in either, naming its index.
     """
@@ -199,41 +203,52 @@ def enhance_buffer(
     state = CmpdrState()
     enhanced = np.zeros(len(noisy))
     blocks = [(f, min(f + _STREAM_FRAMES, total)) for f in range(0, total, _STREAM_FRAMES)]
+    # the beamformer's first call must hold the frames its warm start reads
+    chunk = max(_BLOCK_FRAMES, _WARM_FRAMES)
 
     def stack(frames):
         # every stack is allocated on this thread, also those the helper
         # fills: a helper's own allocations would grow a second malloc arena
         return np.empty((len(shifts), frames[1] - frames[0], cfg.fft_size), dtype=np.complex128)
 
+    def enhance_chunk(aug, aug_clean, first_frame):
+        # everything made here is chunk-sized and dropped on return
+        if aug_clean is None:
+            y, y_clean = cmpdr_process(aug, state=state), None
+        else:
+            y, y_clean = cmpdr_process(aug, companion=aug_clean, state=state)
+        if wiener is not None:
+            noise_psd, smoothed = min_stats_noise_psd(y, state=wiener)
+            gain = wiener_gain(smoothed, noise_psd)
+            y = replace(y, data=gain * y.data)
+            if y_clean is not None:
+                y_clean = replace(y_clean, data=gain * y_clean.data)
+        if y_clean is not None:
+            residual = replace(y, data=y.data - y_clean.data)
+            y = apply_mask(y, oracle_irm(y_clean, residual, eps=eps))
+        istft(y, out=enhanced, first_frame=first_frame)
+
     with ThreadPoolExecutor(max_workers=1) as helper:
         first = blocks[0]
         pending = helper.submit(build_augmented, noisy, shifts, cfg, frames=first, out=stack(first))
         for b, frames in enumerate(blocks):
-            if companion is None:
-                y, y_clean = cmpdr_process(pending.result(), state=state), None
-            else:
+            aug, aug_clean = pending.result(), None
+            if companion is not None:
                 aug_clean = build_augmented(companion, shifts, cfg, frames=frames, out=stack(frames))
-                y, y_clean = cmpdr_process(pending.result(), companion=aug_clean, state=state)
-                aug_clean = None
+            for lo in range(0, frames[1] - frames[0], chunk):
+                part = np.s_[:, lo : lo + chunk]
+                enhance_chunk(
+                    replace(aug, channels=aug.channels[part]),
+                    None if aug_clean is None else replace(aug_clean, channels=aug_clean.channels[part]),
+                    frames[0] + lo,
+                )
             # the block's stacks are dropped before the next one's is made
-            pending = None
+            aug = aug_clean = pending = None
             if b + 1 < len(blocks):
                 nxt = blocks[b + 1]
                 pending = helper.submit(
                     build_augmented, noisy, shifts, cfg, frames=nxt, out=stack(nxt)
                 )
-            if wiener is not None:
-                noise_psd, smoothed = min_stats_noise_psd(y, state=wiener)
-                gain = wiener_gain(smoothed, noise_psd)
-                y = replace(y, data=gain * y.data)
-                if y_clean is not None:
-                    y_clean = replace(y_clean, data=gain * y_clean.data)
-            if companion is not None:
-                residual = replace(y, data=y.data - y_clean.data)
-                y = apply_mask(y, oracle_irm(y_clean, residual, eps=eps))
-            istft(y, out=enhanced, first_frame=frames[0])
-            # and its spectrograms and gains before the next block's stacks are made
-            y = y_clean = residual = noise_psd = smoothed = gain = None
     return EnhanceResult(enhanced=AudioBuffer(enhanced, noisy.sample_rate))
 
 

@@ -92,8 +92,11 @@ def read_wav(path) -> AudioBuffer:
 def write_wav(path, buffer: AudioBuffer, encoding: str = "float32") -> int:
     """Write a mono WAV; returns the number of samples outside [-1, 1].
 
-    Out-of-range samples are clipped for PCM16 and written as-is for float32;
-    either way the count is logged as a warning.
+    Those samples are clipped for PCM16 and written unclipped for float32;
+    either way the count is logged as a warning. For float32, a sample
+    beyond float32's range (about 3.4e38), which would be stored as
+    infinite, is refused with a ``ValueError`` naming ``path`` and its
+    index.
     """
     if len(buffer) == 0:
         raise ValueError("refusing to write an empty buffer")
@@ -112,7 +115,14 @@ def write_wav(path, buffer: AudioBuffer, encoding: str = "float32") -> int:
         fmt = struct.pack("<HHIIHH", _PCM, 1, rate, 2 * rate, 2, 16)
         fact = b""
     else:  # a non-PCM fmt carries an empty extension (its size, 0) and a fact chunk
-        data = x.astype("<f4")
+        with np.errstate(over="ignore"):
+            data = x.astype("<f4")
+        overflow = np.isinf(data)
+        if overflow.any():
+            first = int(np.argmax(overflow))
+            raise ValueError(
+                f"{path}: sample {x[first]} at index {first} is beyond float32's range"
+            )
         fmt = struct.pack("<HHIIHHH", _IEEE_FLOAT, 1, rate, 4 * rate, 4, 32, 0)
         fact = b"fact" + struct.pack("<II", 4, len(data))
     body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + fact

@@ -213,6 +213,7 @@ FIVE_SHIFTS = PipelineConfig(mask="oracle-irm", forced_modset=tuple(97.0 * p for
     [
         PipelineConfig(preproc="id"),
         PipelineConfig(preproc="wiener"),
+        PipelineConfig(preproc="wiener", mask="oracle-irm"),
         replace(FIVE_SHIFTS, mask="none"),
         FIVE_SHIFTS,
     ],
@@ -220,14 +221,19 @@ FIVE_SHIFTS = PipelineConfig(mask="oracle-irm", forced_modset=tuple(97.0 * p for
 )
 def test_output_does_not_depend_on_the_block_length(config, monkeypatch):
     # 628 frames: two default blocks, and the Wiener window (188 frames)
-    # spans several 64-frame blocks; the helper thread builds the noisy
-    # stacks, on one block and on several
+    # spans several chunks; the helper thread builds the noisy stacks, on
+    # one block and on several. A chunk of 4 frames is raised to the 10
+    # frames the beamformer's warm start reads in its first call, and a
+    # chunk longer than a block is the block.
     mix, speech = _mixture(5.0, seed=70)
     ref = enhance_buffer(mix, config, clean=speech).enhanced.samples
-    for frames in (64, 100, 512, 10**6):
+    for frames, chunk in [(f, 64) for f in (64, 100, 512, 10**6)] + [
+        (512, c) for c in (4, 16, 100, 600)
+    ] + [(100, 16), (10**6, 100)]:
         monkeypatch.setattr(cyclospeech.pipeline, "_STREAM_FRAMES", frames)
+        monkeypatch.setattr(cyclospeech.pipeline, "_BLOCK_FRAMES", chunk)
         out = enhance_buffer(mix, config, clean=speech).enhanced.samples
-        assert np.array_equal(out, ref), frames
+        assert np.array_equal(out, ref), (frames, chunk)
 
 
 @pytest.mark.parametrize("budget", (1, 2))
@@ -288,10 +294,11 @@ def test_enhance_peak_memory_does_not_grow_with_input_length():
     assert peaks[1] - peaks[0] < 50 * 2**20, [p / 2**20 for p in peaks]
 
 
-def test_enhance_working_set_is_under_one_and_a_half_blocks_of_stacks():
+def test_enhance_working_set_is_under_1_3_blocks_of_stacks():
     # one block's noisy and clean stacks: 2 x 5 shifts x 512 frames x 512
     # bins of complex128; a block's spectrograms kept alive through the next
-    # block's clean stack and beamformer call held 1.74 of them
+    # block's clean stack and beamformer call held 1.74 of them, and
+    # block-sized outputs, residual, mask and iSTFT frames 1.44
     stacks = 2 * 5 * 512 * 512 * 16
     mix, speech = _mixture(32.0, seed=74)
     enhance_buffer(mix, FIVE_SHIFTS, clean=speech)  # first-call setup stays out
@@ -301,7 +308,7 @@ def test_enhance_working_set_is_under_one_and_a_half_blocks_of_stacks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - out.samples.nbytes <= 1.55 * stacks, (peak - out.samples.nbytes) / stacks
+    assert peak - out.samples.nbytes <= 1.3 * stacks, (peak - out.samples.nbytes) / stacks
 
 
 def test_oracle_mask_requires_reference(speech_4s):

@@ -1,5 +1,6 @@
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,21 @@ def test_nonfinite_error_names_first_bad_index(tmp_path):
     x[[17, 30]] = [-np.inf, np.nan]
     with pytest.raises(ValueError, match=r"non-finite sample \(-inf\) at index 17"):
         write_wav(tmp_path / "bad.wav", AudioBuffer(x, FS), "pcm16")
+
+
+@pytest.mark.parametrize("big", (1e39, -np.finfo(np.float64).max))
+def test_float32_overflow_is_refused_naming_path_and_index(tmp_path, big):
+    # the largest float32 itself is written; beyond it float32 holds only inf
+    top = float(np.finfo(np.float32).max)
+    path = tmp_path / "big.wav"
+    assert write_wav(path, AudioBuffer(np.array([0.5, -top]), FS)) == 1
+    assert read_wav(path).samples[1] == -top
+    path = tmp_path / "overflow.wav"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"overflow\.wav: .* at index 2 is beyond float32"):
+            write_wav(path, AudioBuffer(np.array([0.5, top, big, 1e39]), FS))
+    assert not path.exists()
 
 
 def test_complex_rejected(tmp_path):
